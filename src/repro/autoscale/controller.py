@@ -50,7 +50,10 @@ class AutoscaleController:
     * ``spawn_workers(instance)`` — start the configured workers on a
       freshly booted instance, returning their processes;
     * ``is_done()`` — True once every task is accounted for (the
-      controller's background processes stop evaluating then).
+      controller's background processes stop evaluating then);
+    * ``on_drain(workers)`` (optional) — called with a draining
+      instance's worker processes, so workers parked in a long poll can
+      be released instead of holding the instance until it times out.
     """
 
     def __init__(
@@ -64,6 +67,7 @@ class AutoscaleController:
         spot_rng: np.random.Generator,
         spawn_workers: Callable[[VmInstance], list],
         is_done: Callable[[], bool],
+        on_drain: Callable[[list], None] | None = None,
     ):
         self.env = env
         self.plan = plan
@@ -73,6 +77,7 @@ class AutoscaleController:
         self.task_queue = task_queue
         self.spawn_workers = spawn_workers
         self.is_done = is_done
+        self.on_drain = on_drain
 
         on_demand_price = instance_type.cost_per_hour
         self.trace: SpotPriceTrace | None = None
@@ -282,6 +287,8 @@ class AutoscaleController:
         )[-count:]
         for instance in victims:
             instance.draining = True
+            if self.on_drain is not None:
+                self.on_drain(self._workers.get(instance.instance_id, []))
             self.env.process(
                 self._drainer(instance),
                 name=f"drain-{instance.instance_id}",

@@ -23,14 +23,17 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
+from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Generator
 
 import numpy as np
 
 from repro.cloud.billing import CostMeter
 from repro.obs.context import current as _current_obs
-from repro.sim.engine import Environment
+from repro.sim.engine import Environment, Event, Timeout
 
 __all__ = ["Message", "MessageQueue", "QueueStats", "StaleReceiptError"]
 
@@ -147,6 +150,14 @@ class MessageQueue:
         self._seq = itertools.count()
         self._visible: list[int] = []
         self._inflight: dict[int, int] = {}  # message_id -> current receipt
+        # Long polling: parked receives in FIFO wake order, how many were
+        # woken but have not resumed yet, and the one alarm timer that
+        # wakes them when a pending message becomes visible.  Short polls
+        # never touch any of it.
+        self._waiters: deque[Event] = deque()
+        self._woken = 0
+        self._alarm: Timeout | None = None
+        self._alarm_at = math.inf
         # Sanitizer hook: a SanitizedEnvironment enrols the queue in
         # stale-receipt leak detection (repro.lint.sanitizer).
         register = getattr(env, "register_queue", None)
@@ -199,6 +210,94 @@ class MessageQueue:
             if message_id not in self._visible:
                 self._visible.append(message_id)
 
+    def _schedule_visible(self, visible_at: float, message_id: int) -> None:
+        """Queue a message to (re)appear at ``visible_at``."""
+        heapq.heappush(
+            self._pending, (visible_at, next(self._seq), message_id)
+        )
+        if self._waiters and visible_at < self._alarm_at:
+            self._arm()
+
+    # -- long polling -------------------------------------------------------------
+    def _arm(self) -> None:
+        """Keep the alarm at the earliest live pending ``visible_at``.
+
+        Stale heads (deleted messages, superseded visibility windows) are
+        dropped on the way; ``_promote_due`` would skip them anyway.  An
+        alarm replaced by an earlier one still fires, and does nothing.
+        """
+        pending, messages = self._pending, self._messages
+        while pending:
+            visible_at, _, message_id = pending[0]
+            message = messages.get(message_id)
+            if message is not None and visible_at >= message.visible_at:
+                break
+            heapq.heappop(pending)
+        else:
+            return
+        if visible_at < self._alarm_at:
+            self._alarm_at = visible_at
+            self._alarm = alarm = self.env.timeout(
+                max(0.0, visible_at - self.env.now)
+            )
+            alarm.callbacks.append(self._ring)
+
+    def _ring(self, alarm: Event) -> None:
+        if alarm is not self._alarm:
+            return  # superseded by an earlier alarm
+        self._alarm = None
+        self._alarm_at = math.inf
+        if self._waiters:
+            self._promote_due()
+            self._wake()
+            if self._waiters:
+                self._arm()
+
+    def _wake(self) -> None:
+        """Hand each unclaimed visible message to one parked waiter."""
+        waiters = self._waiters
+        while waiters and len(self._visible) > self._woken:
+            self._woken += 1
+            waiters.popleft().succeed(True)
+
+    def _expire(self, waiter: Event, _deadline: Event) -> None:
+        """Deadline callback: release a still-parked waiter empty."""
+        if not waiter.triggered:
+            self._waiters.remove(waiter)
+            waiter.succeed(False)
+
+    def _park(self, wait_time_s: float) -> Generator:
+        """Hold a long poll until a message is visible or time runs out.
+
+        The receive parks on one Event at the back of the waiter line.
+        A waiter woken for a message that another consumer took first
+        re-parks at the front, under the same deadline.
+        """
+        env = self.env
+        deadline = env.timeout(wait_time_s)
+        park = self._waiters.append
+        while not self._visible and not deadline.processed:
+            waiter = env.event()
+            park(waiter)
+            park = self._waiters.appendleft
+            expire = partial(self._expire, waiter)
+            deadline.callbacks.append(expire)
+            self._arm()
+            resumed = False
+            try:
+                yield waiter
+                resumed = True
+            finally:
+                if not waiter.triggered:
+                    # Interrupted while parked (spot preemption, a chaos
+                    # crash, a draining host): leave no dead waiter.
+                    self._waiters.remove(waiter)
+                    deadline.callbacks.remove(expire)
+                elif waiter.value:
+                    self._woken -= 1
+                    if not resumed:
+                        self._wake()  # pass the wake on
+
     # -- operations ---------------------------------------------------------------
     def send(self, body: Any) -> Generator:
         """Enqueue a message (process).  Returns its message id."""
@@ -212,9 +311,7 @@ class MessageQueue:
             enqueued_at=self.env.now,
             visible_at=visible_at,
         )
-        heapq.heappush(
-            self._pending, (visible_at, next(self._seq), message_id)
-        )
+        self._schedule_visible(visible_at, message_id)
         self.stats.sent += 1
         self._set_depth()
         return message_id
@@ -230,9 +327,7 @@ class MessageQueue:
             receive_count=message.receive_count,
             visible_at=self.env.now,
         )
-        heapq.heappush(
-            self._pending, (self.env.now, next(self._seq), message_id)
-        )
+        self._schedule_visible(self.env.now, message_id)
         self.stats.sent += 1
         self._set_depth()
 
@@ -256,9 +351,7 @@ class MessageQueue:
                 enqueued_at=self.env.now,
                 visible_at=visible_at,
             )
-            heapq.heappush(
-                self._pending, (visible_at, next(self._seq), message_id)
-            )
+            self._schedule_visible(visible_at, message_id)
             self.stats.sent += 1
             ids.append(message_id)
         self._set_depth()
@@ -276,29 +369,27 @@ class MessageQueue:
         (queue default if omitted).
 
         ``wait_time_s`` > 0 enables *long polling* (SQS
-        ``ReceiveMessage`` with ``WaitTimeSeconds``): the single metered
-        request holds server-side until a message arrives or the wait
-        expires, drastically cutting empty receives on an idle queue.
+        ``ReceiveMessage`` with ``WaitTimeSeconds``): if nothing is
+        visible, the one metered request parks until a message becomes
+        visible or the wait expires, and is woken at exactly that sim
+        time.  ``wait_time_s=0`` is the short poll: one look, then empty.
         """
         if wait_time_s < 0:
             raise ValueError("wait_time_s must be non-negative")
         self._meter_request()
         yield self.env.timeout(self._latency())
-        deadline = self.env.now + wait_time_s
-        while True:
-            self._promote_due()
-            if self._visible:
-                break
-            if self.env.now >= deadline:
-                self.stats.empty_receives += 1
-                self._m_empty_receives.inc()
-                return None
-            yield self.env.timeout(
-                min(0.2, max(1e-6, deadline - self.env.now))
-            )
+        self._promote_due()
+        if not self._visible and wait_time_s > 0:
+            yield from self._park(wait_time_s)
+        if not self._visible:
+            self.stats.empty_receives += 1
+            self._m_empty_receives.inc()
+            return None
         if self.miss_probability and self.rng.random() < self.miss_probability:
             self.stats.empty_receives += 1
             self._m_empty_receives.inc()
+            if self._waiters:
+                self._wake()
             return None
         index = int(self.rng.integers(len(self._visible)))
         message_id = self._visible[index]
@@ -322,10 +413,9 @@ class MessageQueue:
             self._visible.pop(index)
             self._inflight[message_id] = message.receipt
             message.visible_at = self.env.now + timeout
-            heapq.heappush(
-                self._pending,
-                (message.visible_at, next(self._seq), message_id),
-            )
+            self._schedule_visible(message.visible_at, message_id)
+        elif self._waiters:
+            self._wake()  # the duplicate stays visible for the next waiter
         self.stats.received += 1
         # Hand back a snapshot: the receipt of *this* receive must not
         # mutate when the message is later re-received by someone else.
@@ -370,10 +460,7 @@ class MessageQueue:
             raise StaleReceiptError("message not in flight under this receipt")
         live = self._messages[message.message_id]
         live.visible_at = self.env.now + timeout_s
-        heapq.heappush(
-            self._pending,
-            (live.visible_at, next(self._seq), message.message_id),
-        )
+        self._schedule_visible(live.visible_at, message.message_id)
 
     # -- inspection (no simulated time) ---------------------------------------
     def peek_bodies(self) -> list[Any]:

@@ -19,8 +19,8 @@ code) and the threaded runtimes' independence story:
   instrumented event loop (``REPRO_SANITIZE=1`` or construct it
   directly) that records a deterministic event trace and detects
   double-triggered events, same-timestamp ordering ties, processes that
-  never consume their pending event, and leaked in-flight queue
-  messages; and :class:`ThreadSanitizer` (``REPRO_SANITIZE=threads`` /
+  never consume their pending event, leaked in-flight queue messages
+  and dead long-poll waiters; and :class:`ThreadSanitizer` (``REPRO_SANITIZE=threads`` /
   ``pytest --repro-sanitize-threads``), which wraps the threaded
   runtimes' locks and shared containers to catch lock-order inversions
   and unsynchronized cross-thread writes at test time.

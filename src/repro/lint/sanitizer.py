@@ -16,7 +16,9 @@ Environment` that, while the simulation runs,
   queue registers itself via ``env.register_queue``) and reports
   **leaked in-flight messages**: receipts that went stale — the
   visibility timeout passed — without the reappearance accounting ever
-  running, which breaks the at-least-once delivery story.
+  running, which breaks the at-least-once delivery story — and
+  **leaked long-poll waiters**: a parked receive whose process is gone,
+  which would swallow the next wake while a visible message sits.
 
 Opt in either by constructing :class:`SanitizedEnvironment` directly or
 by setting ``REPRO_SANITIZE=1`` and building environments through
@@ -61,7 +63,8 @@ class SanitizerReport:
         for label, findings in (
             ("double triggers", self.double_triggers),
             ("processes still waiting at end of run", self.pending_processes),
-            ("leaked in-flight queue messages", self.queue_leaks),
+            ("queue leaks (stale receipts, dead long-poll waiters)",
+             self.queue_leaks),
         ):
             lines.append(f"{label}: {len(findings)}")
             lines.extend(f"  - {finding}" for finding in findings)
@@ -174,7 +177,16 @@ class SanitizedEnvironment(Environment):
         return report
 
     def _queue_leaks(self, queue) -> list[str]:
-        leaks = []
+        leaks = [
+            f"queue {queue.name!r}: a parked long-poll waiter has no live "
+            "process; the next wake would be spent on it"
+            for waiter in queue._waiters
+            if not any(
+                isinstance(getattr(resume, "__self__", None), Process)
+                and resume.__self__.is_alive
+                for resume in waiter.callbacks or ()
+            )
+        ]
         for message_id in sorted(queue._inflight):
             message = queue._messages.get(message_id)
             if message is None:

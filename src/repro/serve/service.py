@@ -57,6 +57,10 @@ __all__ = [
 #: Download-through-404 stance: fixed 0.5 s polls for up to two minutes,
 #: timing-identical to the historical inline loop (241 attempts).
 _DOWNLOAD_RETRY = RetryPolicy.fixed(attempts=241, delay_s=0.5)
+#: Long-poll wait of each worker receive: SQS ``WaitTimeSeconds`` at its
+#: maximum.  Idle workers park in the queue instead of re-polling and
+#: are woken the moment a job becomes visible.
+_RECEIVE_WAIT_S = 20.0
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,6 @@ class ServeConfig:
     quantum: float = 4.0
     dispatch_window_factor: float = 2.0
     visibility_timeout_s: float | None = None  # None: auto from perf model
-    poll_backoff_s: float = 1.0
     dispatch_poll_s: float = 0.5
     #: How long past the arrival window the drain may run before the
     #: remaining backlog is written off as abandoned.
@@ -340,7 +343,7 @@ class JobService:
         self.records: list[TaskRecord] = []
         self.measure_start = 0.0
         self._worker_counter = 0
-        self._busy_workers = 0
+        self._busy: set[str] = set()  # names of workers holding a job
         self._instances: list = []
         self._stopping = False
         self.controller: AutoscaleController | None = None
@@ -355,6 +358,7 @@ class JobService:
                 self.rng.stream("spot-market"),
                 spawn_workers=self._spawn_instance_workers,
                 is_done=lambda: self._stopping,
+                on_drain=self._release_idle,
             )
 
     # -- derived knobs -----------------------------------------------------
@@ -576,13 +580,15 @@ class JobService:
             )
             yield self.env.timeout(5.0)
 
-    def _sample_busy(self, delta: int) -> None:
-        if not self.obs.enabled:
-            return
-        self._busy_workers += delta
-        self.obs.timeline.sample(
-            "workers.busy", self.env.now, self._busy_workers
-        )
+    def _set_busy(self, name: str, busy: bool) -> None:
+        if busy:
+            self._busy.add(name)
+        else:
+            self._busy.discard(name)
+        if self.obs.enabled:
+            self.obs.timeline.sample(
+                "workers.busy", self.env.now, len(self._busy)
+            )
 
     # -- the worker fleet --------------------------------------------------
     def _spawn_instance_workers(self, instance) -> list:
@@ -596,26 +602,40 @@ class JobService:
         name = f"worker-{self._worker_counter}"
         return self.env.process(self._worker(host, name), name=name)
 
+    def _release_idle(self, workers: list) -> None:
+        """Drain hook: a draining host's idle workers exit at once.
+
+        They are parked in a long poll and hold no job; left alone they
+        would keep the host (and its bill) alive for up to
+        ``_RECEIVE_WAIT_S``.  Busy workers finish their job first.
+        """
+        for proc in workers:
+            if proc.is_alive and proc.name not in self._busy:
+                proc.interrupt("draining")
+
     def _worker(self, host, name: str):
-        """Identical shape to the ClassicCloud polling worker."""
+        """Receive, download, compute, upload, delete: one job at a time.
+
+        An idle worker parks in a long poll (``_RECEIVE_WAIT_S``) and
+        loops straight back when it times out empty.
+        """
         config = self.config
         jitter_rng = self.rng.stream(f"{name}-jitter")
         tracer = self.tracer
         wait_start = self.env.now
-        busy = False
         try:
             while not self._stopping:
                 if host.draining or not host.is_running:
                     return
-                msg = yield from self.task_queue.receive()
+                msg = yield from self.task_queue.receive(
+                    wait_time_s=_RECEIVE_WAIT_S
+                )
                 if msg is None:
-                    yield self.env.timeout(config.poll_backoff_s)
                     continue
                 task: TaskSpec = msg.body
                 meta = self._jobs[task.task_id]
                 started = self.env.now
-                self._sample_busy(+1)
-                busy = True
+                self._set_busy(name, True)
 
                 # Download through eventual-consistency 404s (bounded).
                 t0 = self.env.now
@@ -691,15 +711,14 @@ class JobService:
                         "task.upload", track=name,
                         start=t2, end=t2 + upload_time, task_id=tid,
                     )
-                self._sample_busy(-1)
-                busy = False
+                self._set_busy(name, False)
                 wait_start = self.env.now
         except Interrupt:
-            # Preempted/crashed: the message reappears and retries.  If
-            # the interrupt landed mid-task, close the busy gauge so the
-            # +1 sampled at pick-up is paired with a -1.
-            if busy:
-                self._sample_busy(-1)
+            # Preempted/crashed (the message reappears and retries) or
+            # released by a drain.  If the interrupt landed mid-task,
+            # close the busy gauge so the pick-up is paired with a drop.
+            if name in self._busy:
+                self._set_busy(name, False)
             return
 
     def _record_completion(

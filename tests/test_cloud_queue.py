@@ -7,7 +7,7 @@ import pytest
 
 from repro.cloud import AWS_PRICES, CostMeter, Message, MessageQueue
 from repro.cloud.queue import StaleReceiptError
-from repro.sim import Environment
+from repro.sim import Environment, Interrupt
 
 
 def make_queue(env, **kwargs):
@@ -423,3 +423,168 @@ def test_delete_loss_defaults_off():
         return env.now, q.rng.bit_generator.state
 
     assert play() == play(delete_loss_probability=0.0)
+
+
+# -- event-driven long polling -------------------------------------------
+
+
+def _poller(env, q, log, name, wait=20.0, start=0.0):
+    """A long poller that records (name, finish time, body or None)."""
+    yield env.timeout(start)
+    msg = yield from q.receive(wait_time_s=wait)
+    log.append((name, env.now, None if msg is None else msg.body))
+
+
+def test_long_poll_wakes_one_waiter_per_message_in_fifo_order():
+    env = Environment()
+    q = make_queue(env, propagation_delay_s=0.05)
+    log = []
+    for i, name in enumerate("abc"):
+        env.process(_poller(env, q, log, name, start=0.1 * i))
+
+    def sender(env):
+        yield env.timeout(2.0)
+        yield from q.send("first")
+        yield env.timeout(1.0)
+        yield from q.send("second")
+
+    env.process(sender(env))
+    env.run(until=10.0)
+    # One message woke exactly one waiter, the longest-parked one.
+    assert log == [
+        ("a", pytest.approx(2.06), "first"),
+        ("b", pytest.approx(3.07), "second"),
+    ]
+    assert len(q._waiters) == 1 and q._woken == 0
+    assert q.stats.empty_receives == 0
+
+
+def test_reappearing_message_wakes_parked_poller_at_visible_at():
+    env = Environment()
+    q = make_queue(env, visibility_timeout_s=5.0)
+    drive(env, q.send("job"))
+    taken = drive(env, q.receive())  # never deleted: it will reappear
+    log = []
+    env.process(_poller(env, q, log, "p"))
+    env.run(until=taken.visible_at + 1.0)
+    assert log == [("p", pytest.approx(taken.visible_at), "job")]
+    assert q.stats.reappearances == 1
+
+
+def test_visibility_change_rearms_the_alarm():
+    env = Environment()
+    q = make_queue(env, visibility_timeout_s=5.0)
+    drive(env, q.send("job"))
+    taken = drive(env, q.receive())
+    log = []
+    env.process(_poller(env, q, log, "p"))
+    env.run(until=1.0)
+    drive(env, q.change_visibility(taken, 10.0))  # extend past 5 s
+    extended_to = q._messages[taken.message_id].visible_at
+    env.run(until=extended_to + 1.0)
+    assert log == [("p", pytest.approx(extended_to), "job")]
+
+
+def test_dead_letter_redrive_wakes_dlq_poller():
+    env = Environment()
+    dlq = make_queue(env)
+    q = make_queue(
+        env, visibility_timeout_s=5.0, max_receive_count=1,
+        dead_letter_queue=dlq,
+    )
+    drive(env, q.send("poison"))
+    taken = drive(env, q.receive())
+    log = []
+    env.process(_poller(env, q, log, "source"))
+    env.process(_poller(env, dlq, log, "dlq"))
+    env.run(until=taken.visible_at + 1.0)
+    assert log == [("dlq", pytest.approx(taken.visible_at), "poison")]
+    assert q.stats.dead_lettered == 1
+
+
+def test_long_poll_deadline_expiry_is_one_request_one_empty_receive():
+    env = Environment()
+    meter = CostMeter(AWS_PRICES)
+    q = make_queue(env, meter=meter)
+    log = []
+    env.run(until=env.process(_poller(env, q, log, "p", wait=5.0)))
+    assert log == [("p", pytest.approx(5.01), None)]
+    assert q.stats.requests == meter.queue_requests == 1
+    assert q.stats.empty_receives == 1
+    assert not q._waiters
+
+
+def test_interrupted_poller_leaves_no_waiter_behind():
+    """Two parked pollers, the first (FIFO head) is interrupted: the next
+    send must wake the live one at send + propagation delay, not leave it
+    parked until its deadline because the wake went to a dead process."""
+    env = Environment()
+    q = make_queue(env, propagation_delay_s=0.05)
+    log = []
+
+    def doomed(env):
+        try:
+            yield from q.receive(wait_time_s=20.0)
+        except Interrupt:
+            log.append(("doomed", env.now, "interrupted"))
+
+    victim = env.process(doomed(env))
+    env.process(_poller(env, q, log, "live", start=0.5))
+    env.run(until=1.0)
+    assert len(q._waiters) == 2
+    victim.interrupt("spot-preempted")
+    env.run(until=2.0)
+    assert len(q._waiters) == 1
+    sent_at = env.now
+    drive(env, q.send("job"))
+    env.run(until=5.0)
+    assert log == [
+        ("doomed", 1.0, "interrupted"),
+        ("live", pytest.approx(sent_at + 0.01 + 0.05), "job"),
+    ]
+    assert not q._waiters and q._woken == 0
+
+
+def test_woken_then_interrupted_poller_passes_the_wake_on():
+    env = Environment()
+    q = make_queue(env)
+    log = []
+
+    def doomed(env):
+        try:
+            yield from q.receive(wait_time_s=20.0)
+        except Interrupt:
+            log.append(("doomed", env.now, "interrupted"))
+
+    victim = env.process(doomed(env))
+    env.process(_poller(env, q, log, "live", start=0.5))
+    env.run(until=1.0)
+
+    def send_then_crash(env):
+        yield from q.send("job")
+        # Crash the FIFO head right after the alarm wakes it, before it
+        # resumes to take the message.
+        q._alarm.callbacks.append(lambda _: victim.interrupt("crash"))
+
+    env.process(send_then_crash(env))
+    env.run(until=5.0)
+    assert log == [
+        ("doomed", pytest.approx(1.01), "interrupted"),
+        ("live", pytest.approx(1.01), "job"),
+    ]
+    assert not q._waiters and q._woken == 0
+
+
+def test_short_poll_does_no_waiter_or_alarm_work():
+    """wait_time_s=0 is the 2010 short poll: same draws, same kernel
+    events, no waiter or alarm state."""
+    env = Environment()
+    q = make_queue(env, latency_sigma=0.35, miss_probability=0.1)
+    drive(env, q.send("a"))
+    before = env.events_scheduled
+    drive(env, q.receive())
+    drive(env, q.receive())
+    # Per short poll: the process bootstrap, its latency timeout, the
+    # process-completion event.
+    assert env.events_scheduled - before == 6
+    assert q._alarm is None and not q._waiters

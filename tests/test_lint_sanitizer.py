@@ -8,6 +8,7 @@ from repro.lint.sanitizer import (
     SanitizedEnvironment,
     SanitizerError,
 )
+from repro.serve import JobService, ServeConfig, default_tenants
 from repro.sim.engine import Environment, make_environment
 
 
@@ -174,6 +175,34 @@ class TestQueueLeakDetection:
         assert msg is not None
         drive(env, q.delete(msg))
         assert env.sanitizer_report().queue_leaks == []
+
+    def test_dead_long_poll_waiter_is_a_leak(self):
+        env = SanitizedEnvironment()
+        q = make_queue(env)
+
+        def poller(env):
+            yield from q.receive(wait_time_s=20.0)
+
+        env.process(poller(env), name="poller")
+        env.run(until=1.0)
+        # A live parked poller is not a leak ...
+        assert env.sanitizer_report().queue_leaks == []
+        # ... an orphaned waiter (no process left to resume) is.
+        q._waiters.append(env.event())
+        leaks = env.sanitizer_report().queue_leaks
+        assert len(leaks) == 1
+        assert "long-poll waiter" in leaks[0]
+
+    def test_clean_serve_run_has_no_waiter_leaks(self):
+        config = ServeConfig(
+            tenants=default_tenants(), n_instances=2, duration_s=120.0,
+            seed=4, sanitize=True,
+        )
+        service = JobService(config)
+        result = service.run()
+        assert result.completed > 0
+        assert service.task_queue._waiters  # idle workers are parked
+        assert service.env.sanitizer_report().issues == []
 
     def test_clean_consume_has_no_leaks(self):
         env = SanitizedEnvironment()

@@ -8,6 +8,7 @@ from repro.autoscale.plan import AutoscalePlan
 from repro.cli import main
 from repro.cloud.spot import BidStrategy, SpotMarketModel
 from repro.serve import (
+    JobService,
     ServeConfig,
     TenantSpec,
     default_tenants,
@@ -182,6 +183,63 @@ class TestPreemption:
         # Duplicate deliveries were recognised, not double-counted.
         for stats in result.tenants:
             assert stats.completed <= stats.admitted
+
+
+class TestEventDrivenIdle:
+    def test_idle_cost_does_not_scale_with_fleet_size(self):
+        # Idle workers park in a long poll instead of re-polling, so
+        # kernel events per completed job stay near the fleet-1 figure
+        # at sixteen times the fleet (short polling: ~16x apart).
+        events_per_job = {}
+        for fleet in (1, 16):
+            service = JobService(
+                ServeConfig(
+                    tenants=default_tenants(), n_instances=fleet,
+                    duration_s=300.0, seed=1,
+                )
+            )
+            result = service.run()
+            assert result.completed > 0
+            events_per_job[fleet] = (
+                service.env.events_scheduled / result.completed
+            )
+        assert events_per_job[16] <= 3 * events_per_job[1]
+
+    def test_draining_host_releases_parked_workers(self):
+        # A drain must not wait out the idle workers' long polls: the
+        # host takes no new job once draining and terminates within one
+        # drain poll (plus a request latency) of its last job finishing.
+        plan = AutoscalePlan(min_instances=1, max_instances=4)
+        service = JobService(
+            ServeConfig(
+                tenants=default_tenants(), n_instances=4,
+                duration_s=600.0, seed=3, autoscale=plan,
+            )
+        )
+        drains = []
+        release = service.controller.on_drain
+
+        def record(workers):
+            drains.append((service.env.now, workers))
+            release(workers)
+
+        service.controller.on_drain = record
+        result = service.run()
+        assert drains
+        by_workers = {
+            id(workers): instance_id
+            for instance_id, workers in service.controller._workers.items()
+        }
+        instances = {i.instance_id: i for i in service.controller.pool}
+        slack = plan.drain_poll_s + service.task_queue.request_latency_s
+        for drained_at, workers in drains:
+            instance = instances[by_workers[id(workers)]]
+            names = {w.name for w in workers}
+            jobs = [r for r in result.records if r.worker in names]
+            assert all(r.started_at <= drained_at for r in jobs)
+            last = max([drained_at] + [r.finished_at for r in jobs])
+            assert instance.terminated_at is not None
+            assert instance.terminated_at - last <= slack
 
 
 class TestDeterminism:
