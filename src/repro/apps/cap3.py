@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.apps.fasta import FastaRecord
 
@@ -40,6 +41,7 @@ __all__ = [
 
 _BASES = "ACGTN"
 _BASE_INDEX = {base: i for i, base in enumerate(_BASES)}
+_BASE_SET = frozenset(_BASES)
 _COMPLEMENT = str.maketrans("ACGTN", "TGCAN")
 # Byte-level complement table for encoded arrays.
 _COMPLEMENT_BYTES = np.arange(256, dtype=np.uint8)
@@ -167,7 +169,7 @@ def trim_read(record: FastaRecord, min_length: int) -> FastaRecord | None:
     trimmed = seq[start:end].upper()
     if len(trimmed) < min_length:
         return None
-    if any(base not in _BASE_INDEX for base in trimmed):
+    if not _BASE_SET.issuperset(trimmed):
         trimmed = "".join(
             base if base in _BASE_INDEX else "N" for base in trimmed
         )
@@ -183,6 +185,22 @@ def _encode(seq: str) -> np.ndarray:
 _KMER_DIGIT = np.zeros(256, dtype=np.int64)
 for _i, _b in enumerate(b"ACGTN"):
     _KMER_DIGIT[_b] = _i
+# Largest k whose base-5 codes fit in an int64 (5**27 < 2**63).
+_MAX_PACKED_K = 27
+# Consensus column per byte: ACGTN in order, anything else counts as N.
+_BASE_CODE = np.full(256, _BASE_INDEX["N"], dtype=np.int64)
+for _base, _i in _BASE_INDEX.items():
+    _BASE_CODE[ord(_base)] = _i
+
+
+def _packed_codes(arr: np.ndarray, k: int) -> np.ndarray:
+    """Base-5 int64 code of every k-window of ``arr`` (k <= 27)."""
+    digits = _KMER_DIGIT[arr]
+    n_windows = len(arr) - k + 1
+    codes = np.zeros(n_windows, dtype=np.int64)
+    for j in range(k):  # Horner's rule, one digit column at a time
+        codes = codes * 5 + digits[j : j + n_windows]
+    return codes
 
 
 def _seed_keys(arr: np.ndarray, k: int) -> list:
@@ -195,27 +213,51 @@ def _seed_keys(arr: np.ndarray, k: int) -> list:
     """
     if len(arr) < k:
         return []
-    if k <= 27:  # 5**27 still fits in int64
-        powers = 5 ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        windows = np.lib.stride_tricks.sliding_window_view(
-            _KMER_DIGIT[arr], k
-        )
-        return (windows @ powers).tolist()
+    if k <= _MAX_PACKED_K:
+        return _packed_codes(arr, k).tolist()
     seq_bytes = arr.tobytes()
     return [
         seq_bytes[pos : pos + k] for pos in range(len(seq_bytes) - k + 1)
     ]
 
 
-def _seed_index(
-    arrays: list[np.ndarray], k: int
-) -> dict:
-    """k-mer -> [(read index, position)] postings over every read."""
-    index: dict = {}
-    for read_idx, arr in enumerate(arrays):
-        for pos, key in enumerate(_seed_keys(arr, k)):
-            index.setdefault(key, []).append((read_idx, pos))
-    return index
+def _window_ids(
+    concat: np.ndarray, starts: np.ndarray, k: int
+) -> np.ndarray:
+    """An int64 id per k-window of ``concat`` beginning at ``starts``.
+
+    Windows get equal ids exactly when :func:`_seed_keys` gives them
+    equal keys: packed codes up to k = 27, dense ids from sorting the
+    raw window bytes beyond.
+    """
+    if not len(starts):
+        return np.zeros(0, dtype=np.int64)
+    if k <= _MAX_PACKED_K:
+        return _packed_codes(concat, k)[starts]
+    windows = sliding_window_view(concat, k)[starts]
+    return np.unique(windows, axis=0, return_inverse=True)[1].ravel()
+
+
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """0..count-1 for each group, concatenated (the inverse of np.repeat)."""
+    offsets = np.cumsum(counts) - counts
+    return np.arange(counts.sum()) - np.repeat(offsets, counts)
+
+
+def _first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Index of each distinct key's first occurrence, in input order."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    return np.sort(order[starts])
+
+
+def _score(matches, length, params: Cap3Params):
+    """(identity, score) of an ungapped placement; scalars or arrays."""
+    identity = matches / length
+    score = matches - params.mismatch_penalty * (length - matches)
+    return identity, score
 
 
 def _verify_overlap(
@@ -233,11 +275,9 @@ def _verify_overlap(
     a_slice = a_arr[a_start : a_start + length]
     b_slice = b_arr[:length]
     matches = int((a_slice == b_slice).sum())
-    identity = matches / length
+    identity, score = _score(matches, length, params)
     if identity < params.min_identity:
         return None
-    mismatches = length - matches
-    score = matches - params.mismatch_penalty * mismatches
     contained = (a_start + len(b_arr)) <= len(a_arr)
     return Overlap(
         a=a_idx,
@@ -250,49 +290,112 @@ def _verify_overlap(
     )
 
 
+def _placements(
+    arrays: list[np.ndarray], params: Cap3Params, both_strands: bool
+) -> tuple[int, tuple[np.ndarray, ...]]:
+    """Every distinct seeded placement of one read on another, scored.
+
+    One index holds every k-window of the forward reads, stably sorted
+    by id so each k-mer's postings keep ``(read, position)`` order.
+    Each read (and, with ``both_strands``, its reverse complement)
+    probes it with the seeds ``s = 0, stride, …`` below
+    ``max_seed_span``; a hit at ``a[a_pos]`` places it at ``a_start =
+    a_pos - s``.  Self hits, ``a_start < 0`` in the forward-only pass
+    and repeats of ``(a, a_start)`` per probe read are dropped.  All
+    placements are scored in one gather over a padded read matrix.
+
+    Returns the placement count and, for the accepted placements in
+    probe order (read, forward before reverse complement, seed,
+    posting), ``(a, b, a_start, same_strand, length, identity, score)``.
+    """
+    k = params.kmer_size
+    n = len(arrays)
+    seqs = list(arrays)
+    if both_strands:
+        seqs += [_rc_array(arr) for arr in arrays]  # row n + b is b's rc
+    rows = np.arange(len(seqs))
+    lengths = np.array([len(arr) for arr in seqs], dtype=np.int64)
+    n_windows = np.maximum(lengths - k + 1, 0)
+    first_window = np.cumsum(n_windows) - n_windows
+    # The empty leading array keeps np.concatenate working with no reads.
+    concat = np.concatenate([np.zeros(0, dtype=np.uint8), *seqs])
+    window_row = np.repeat(rows, n_windows)
+    window_pos = _ranks(n_windows)
+    ids = _window_ids(
+        concat, (np.cumsum(lengths) - lengths)[window_row] + window_pos, k
+    )
+
+    indexed = int(n_windows[:n].sum())  # the forward reads' windows
+    postings = np.argsort(ids[:indexed], kind="stable")
+    sorted_ids = ids[:indexed][postings]
+
+    # Each read's forward row, then (both strands) its rc row.
+    probe_rows = rows.reshape(-1, n).T.ravel() if n else rows
+    span = np.minimum(n_windows[probe_rows], max(params.max_seed_span, 0))
+    n_probes = -(-span // params.seed_stride)
+    probe_row = np.repeat(probe_rows, n_probes)
+    probe_s = _ranks(n_probes) * params.seed_stride
+    probe_ids = ids[first_window[probe_row] + probe_s]
+    lo = np.searchsorted(sorted_ids, probe_ids, side="left")
+    hits = np.searchsorted(sorted_ids, probe_ids, side="right") - lo
+    probe = np.repeat(np.arange(len(probe_row)), hits)
+    posting = postings[lo[probe] + _ranks(hits)]
+
+    b_row = probe_row[probe]
+    b = np.where(b_row < n, b_row, b_row - n)
+    a = window_row[posting]
+    a_start = window_pos[posting] - probe_s[probe]
+    keep = a != b
+    if not both_strands:
+        keep &= a_start >= 0
+    b_row, b, a, a_start = b_row[keep], b[keep], a[keep], a_start[keep]
+    reach = int(lengths.max(initial=0))
+    distinct = _first_occurrences(
+        (b_row * n + a) * (2 * reach + 1) + a_start + reach
+    )
+    b_row, b, a, a_start = (x[distinct] for x in (b_row, b, a, a_start))
+    candidates = len(a)
+
+    a_off = np.maximum(a_start, 0)
+    b_off = a_off - a_start
+    length = np.minimum(lengths[a] - a_off, lengths[b_row] - b_off)
+    width = int(length.max(initial=1))
+    padded = np.zeros((len(seqs), reach + width), dtype=np.uint8)
+    padded[np.repeat(rows, lengths), _ranks(lengths)] = concat
+    columns = sliding_window_view(padded, width, axis=1)
+    agree = columns[a, a_off] == columns[b_row, b_off]
+    agree &= np.arange(width) < length[:, None]
+    matches = np.count_nonzero(agree, axis=1)
+    identity, score = _score(matches, length, params)
+    ok = (length >= params.min_overlap) & (identity >= params.min_identity)
+    return candidates, tuple(
+        x[ok] for x in (a, b, a_start, b_row < n, length, identity, score)
+    )
+
+
 def _find_overlaps(
     arrays: list[np.ndarray], params: Cap3Params
 ) -> tuple[list[Overlap], int]:
     """All accepted pairwise overlaps via k-mer seeding.
 
-    Returns the best overlap per ordered read pair and the number of
-    candidate placements examined (a work measure the performance-model
-    calibration uses).
+    Returns the best overlap per ordered read pair (highest score, the
+    earliest placement among ties), ordered by each pair's first
+    accepted placement, and the number of candidate placements examined
+    (a work measure the performance-model calibration uses).
     """
-    k = params.kmer_size
-    index = _seed_index(arrays, k)
-
-    candidates = 0
-    best: dict[tuple[int, int], Overlap] = {}
-    for b_idx, b_arr in enumerate(arrays):
-        b_keys = _seed_keys(b_arr, k)
-        span = max(0, min(params.max_seed_span, len(b_keys)))
-        probed: set[tuple[int, int]] = set()
-        for s in range(0, span, params.seed_stride):
-            seed = b_keys[s]
-            for a_idx, a_pos in index.get(seed, ()):
-                if a_idx == b_idx:
-                    continue
-                # A seed at b[s] matching a[a_pos] implies b begins at
-                # a-coordinate a_pos - s.
-                a_start = a_pos - s
-                if a_start < 0:
-                    continue
-                key = (a_idx, a_start)
-                if key in probed:
-                    continue
-                probed.add(key)
-                candidates += 1
-                overlap = _verify_overlap(
-                    a_idx, b_idx, arrays[a_idx], b_arr, a_start, params
-                )
-                if overlap is None:
-                    continue
-                pair = (a_idx, b_idx)
-                existing = best.get(pair)
-                if existing is None or overlap.score > existing.score:
-                    best[pair] = overlap
-    return list(best.values()), candidates
+    candidates, (a, b, a_start, _, length, identity, score) = _placements(
+        arrays, params, both_strands=False
+    )
+    pair = a * len(arrays) + b
+    ranked = np.lexsort((-score, pair))  # stable: ties keep probe order
+    leaders = ranked[_first_occurrences(pair[ranked])]
+    first_accepted = pair[_first_occurrences(pair)]
+    best = leaders[np.searchsorted(pair[leaders], first_accepted)]
+    lengths = np.array([len(arr) for arr in arrays], dtype=np.int64)
+    contained = a_start + lengths[b] <= lengths[a]
+    fields = (a, b, a_start, length, identity, score, contained)
+    rows = zip(*(x[best].tolist() for x in fields))
+    return [Overlap(*row) for row in rows], candidates
 
 
 def _orientation_edges(
@@ -304,38 +407,8 @@ def _orientation_edges(
     orientation against the forward index; an accepted placement yields
     an edge ``(a, b, same_orientation)``.
     """
-    k = params.kmer_size
-    index = _seed_index(arrays, k)
-
-    edges: list[tuple[int, int, bool]] = []
-    for b_idx, b_fwd in enumerate(arrays):
-        for same, b_arr in ((True, b_fwd), (False, _rc_array(b_fwd))):
-            b_keys = _seed_keys(b_arr, k)
-            span = max(0, min(params.max_seed_span, len(b_keys)))
-            probed: set[tuple[int, int]] = set()
-            for s in range(0, span, params.seed_stride):
-                seed = b_keys[s]
-                for a_idx, a_pos in index.get(seed, ()):
-                    if a_idx == b_idx:
-                        continue
-                    a_start = a_pos - s
-                    key = (a_idx, a_start)
-                    if key in probed:
-                        continue
-                    probed.add(key)
-                    if a_start >= 0:
-                        overlap = _verify_overlap(
-                            a_idx, b_idx, arrays[a_idx], b_arr, a_start, params
-                        )
-                    else:
-                        # b (in this orientation) starts before a: verify
-                        # with the roles swapped — suffix(b) vs prefix(a).
-                        overlap = _verify_overlap(
-                            b_idx, a_idx, b_arr, arrays[a_idx], -a_start, params
-                        )
-                    if overlap is not None:
-                        edges.append((a_idx, b_idx, same))
-    return edges
+    _, (a, b, _, same, *_) = _placements(arrays, params, both_strands=True)
+    return list(zip(a.tolist(), b.tolist(), same.tolist()))
 
 
 def _resolve_orientations(
@@ -451,16 +524,14 @@ def _consensus(
 ) -> tuple[str, np.ndarray]:
     """Majority vote per column; returns (consensus, coverage depth)."""
     total_len = max(offset + len(arrays[idx]) for idx, offset in chain)
-    counts = np.zeros((total_len, len(_BASES)), dtype=np.int32)
-    base_lookup = np.full(256, _BASE_INDEX["N"], dtype=np.int64)
-    for base, i in _BASE_INDEX.items():
-        base_lookup[ord(base)] = i
-    coverage = np.zeros(total_len, dtype=np.int32)
-    for idx, offset in chain:
-        arr = arrays[idx]
-        codes = base_lookup[arr]
-        np.add.at(counts, (np.arange(offset, offset + len(arr)), codes), 1)
-        coverage[offset : offset + len(arr)] += 1
+    columns = np.concatenate(
+        [np.arange(offset, offset + len(arrays[idx])) for idx, offset in chain]
+    )
+    codes = _BASE_CODE[np.concatenate([arrays[idx] for idx, _ in chain])]
+    counts = np.bincount(
+        columns * len(_BASES) + codes, minlength=total_len * len(_BASES)
+    ).reshape(total_len, len(_BASES))
+    coverage = counts.sum(axis=1).astype(np.int32)
     # Real bases out-vote N wherever any read has coverage.
     counts[:, _BASE_INDEX["N"]] -= 1
     winners = counts.argmax(axis=1)

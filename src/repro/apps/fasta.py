@@ -29,7 +29,7 @@ class FastaRecord:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("FASTA record needs a non-empty id")
-        if any(c.isspace() for c in self.seq):
+        if self.seq and self.seq.split() != [self.seq]:
             raise ValueError(f"sequence for {self.id!r} contains whitespace")
 
     def __len__(self) -> int:

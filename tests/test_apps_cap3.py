@@ -61,6 +61,31 @@ class TestTrimming:
         assert trimmed.seq.count("N") == 1
 
 
+    @pytest.mark.parametrize(
+        "core, expected",
+        [
+            # IUPAC ambiguity codes inside the read become N.
+            ("RYKMSWBDHV", "NNNNNNNNNN"),
+            # Soft-masked interior bases are uppercased, unknown ones
+            # (lowercase IUPAC included) become N.
+            ("acgtn", "ACGTN"),
+            ("ryN-*.x", "NNNNNNN"),
+            # Non-ASCII letters are not bases either.
+            ("\u00c5\u00e9", "NN"),
+        ],
+    )
+    def test_interior_codes_map_exactly(self, core, expected):
+        flank = "ACGT" * 5
+        r = FastaRecord(id="x", seq="nn" + flank + core + flank + "ac")
+        trimmed = trim_read(r, min_length=10)
+        assert trimmed.seq == flank + expected + flank
+
+    def test_clean_read_is_passed_through_uppercased(self):
+        r = FastaRecord(id="x", seq="ACGTNacgtnACGT", description="d")
+        trimmed = trim_read(r, min_length=4)
+        assert trimmed == FastaRecord(id="x", seq="ACGTNACGTNACGT", description="d")
+
+
 class TestAssembly:
     def test_perfect_overlapping_reads_assemble_into_one_contig(self):
         genome = random_genome(500, seed=1)

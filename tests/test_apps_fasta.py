@@ -79,3 +79,29 @@ def test_empty_sequence_record_roundtrip(tmp_path):
     (back,) = read_fasta(path)
     assert back.id == "empty"
     assert back.seq == ""
+
+
+# Every character str.isspace() accepts in these ranges, including the
+# ASCII separators (\x1c-\x1f) and the Unicode spaces beyond Latin-1.
+_WHITESPACE = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u2003\u3000"
+
+
+@pytest.mark.parametrize("char", list(_WHITESPACE))
+@pytest.mark.parametrize("where", ["alone", "inside", "leading", "trailing"])
+def test_record_rejects_every_isspace_character(char, where):
+    assert char.isspace()
+    seq = {
+        "alone": char,
+        "inside": f"AC{char}GT",
+        "leading": f"{char}ACGT",
+        "trailing": f"ACGT{char}",
+    }[where]
+    with pytest.raises(ValueError, match="whitespace"):
+        FastaRecord(id="x", seq=seq)
+
+
+def test_record_accepts_empty_and_plain_sequences():
+    assert FastaRecord(id="x", seq="").seq == ""
+    for seq in ("A", "ACGTN", "acgtn", "ACGT-*RYKM", "\x00\x1b\u200b"):
+        assert not any(c.isspace() for c in seq)
+        assert FastaRecord(id="x", seq=seq).seq == seq

@@ -22,7 +22,17 @@ from repro.apps.blast import (
     blast_search,
     mask_low_complexity,
 )
-from repro.apps.cap3 import Cap3Params, _find_overlaps, _seed_keys, assemble
+from repro.apps import cap3 as cap3_mod
+from repro.apps.cap3 import (
+    Cap3Params,
+    _find_overlaps,
+    _orientation_edges,
+    _rc_array,
+    _seed_keys,
+    _verify_overlap,
+    assemble,
+    reverse_complement,
+)
 from repro.apps.fasta import FastaRecord
 
 
@@ -99,6 +109,82 @@ def _ungapped_extend_reference(query, subject, q_pos, s_pos, word_size, xdrop):
     q_end = q_pos + word_size + best_right
     s_end = s_pos + word_size + best_right
     return q_start, q_end, s_start, s_end, best
+
+
+def _seed_index_reference(arrays, k):
+    index = {}
+    for read_idx, arr in enumerate(arrays):
+        for pos, key in enumerate(_seed_keys(arr, k)):
+            index.setdefault(key, []).append((read_idx, pos))
+    return index
+
+
+def _find_overlaps_reference(arrays, params):
+    k = params.kmer_size
+    index = _seed_index_reference(arrays, k)
+
+    candidates = 0
+    best = {}
+    for b_idx, b_arr in enumerate(arrays):
+        b_keys = _seed_keys(b_arr, k)
+        span = max(0, min(params.max_seed_span, len(b_keys)))
+        probed = set()
+        for s in range(0, span, params.seed_stride):
+            seed = b_keys[s]
+            for a_idx, a_pos in index.get(seed, ()):
+                if a_idx == b_idx:
+                    continue
+                a_start = a_pos - s
+                if a_start < 0:
+                    continue
+                key = (a_idx, a_start)
+                if key in probed:
+                    continue
+                probed.add(key)
+                candidates += 1
+                overlap = _verify_overlap(
+                    a_idx, b_idx, arrays[a_idx], b_arr, a_start, params
+                )
+                if overlap is None:
+                    continue
+                pair = (a_idx, b_idx)
+                existing = best.get(pair)
+                if existing is None or overlap.score > existing.score:
+                    best[pair] = overlap
+    return list(best.values()), candidates
+
+
+def _orientation_edges_reference(arrays, params):
+    k = params.kmer_size
+    index = _seed_index_reference(arrays, k)
+
+    edges = []
+    for b_idx, b_fwd in enumerate(arrays):
+        for same, b_arr in ((True, b_fwd), (False, _rc_array(b_fwd))):
+            b_keys = _seed_keys(b_arr, k)
+            span = max(0, min(params.max_seed_span, len(b_keys)))
+            probed = set()
+            for s in range(0, span, params.seed_stride):
+                seed = b_keys[s]
+                for a_idx, a_pos in index.get(seed, ()):
+                    if a_idx == b_idx:
+                        continue
+                    a_start = a_pos - s
+                    key = (a_idx, a_start)
+                    if key in probed:
+                        continue
+                    probed.add(key)
+                    if a_start >= 0:
+                        overlap = _verify_overlap(
+                            a_idx, b_idx, arrays[a_idx], b_arr, a_start, params
+                        )
+                    else:
+                        overlap = _verify_overlap(
+                            b_idx, a_idx, b_arr, arrays[a_idx], -a_start, params
+                        )
+                    if overlap is not None:
+                        edges.append((a_idx, b_idx, same))
+    return edges
 
 
 def _random_protein(rng, length):
@@ -297,6 +383,180 @@ class TestCap3SeedParity:
         ]
         assert result.stats == again.stats
         assert result.stats["contigs"] >= 1
+
+
+def _genome(rng, length):
+    return "".join("ACGT"[i] for i in rng.integers(0, 4, size=length))
+
+
+def _records(seqs):
+    return [FastaRecord(id=f"r{i}", seq=seq) for i, seq in enumerate(seqs)]
+
+
+def _encoded(records):
+    return [
+        np.frombuffer(r.seq.upper().encode("ascii"), dtype=np.uint8)
+        for r in records
+    ]
+
+
+def _conflict_dataset():
+    """Both-strand reads with an orientation conflict, a duplicate
+    read, a contained read and a reverse-complemented contained read."""
+    g = _genome(np.random.default_rng(31), 400)
+    x, y = g[0:100], g[60:160]
+    # z follows y forward, but its tail is the reverse complement of
+    # x's suffix: x-y and y-z agree in strand, x-z disagrees.
+    z = g[120:170] + reverse_complement(g[50:100])
+    return _records(
+        [
+            x,
+            y,
+            z,
+            y,  # duplicate
+            g[70:130],  # contained in y
+            reverse_complement(g[20:90]),  # contained in x, other strand
+            reverse_complement(g[140:260]),
+            g[230:330],
+            g[300:400],
+        ]
+    )
+
+
+def _mixed_dataset():
+    """Variable-length both-strand reads with errors and soft-masked
+    tails, plus reads shorter than every k in the sweep."""
+    rng = np.random.default_rng(32)
+    g = _genome(rng, 900)
+    seqs = []
+    for _ in range(26):
+        length = int(rng.integers(45, 170))
+        start = int(rng.integers(0, len(g) - length))
+        read = list(g[start : start + length])
+        for pos in rng.integers(0, length, size=int(rng.integers(0, 3))):
+            read[pos] = "ACGT"[rng.integers(0, 4)]
+        read = "".join(read)
+        if rng.random() < 0.5:
+            read = reverse_complement(read)
+        if rng.random() < 0.3:
+            read = read[:-8] + read[-8:].lower()
+        seqs.append(read)
+    seqs += ["ACG", g[:11], g[5:32], g[40:70]]
+    return _records(seqs)
+
+
+def _repeat_dataset():
+    """Tandem repeats: one pair accepts several placements, some with
+    equal scores (contained reads at whole periods), so the best-score
+    choice and its earliest-placement tie-break both matter."""
+    rng = np.random.default_rng(33)
+    unit = _genome(rng, 14)
+    g = _genome(rng, 60) + unit * 12 + _genome(rng, 60)
+    noisy = list(g)
+    for pos in (70, 131, 190):
+        noisy[pos] = "A" if noisy[pos] != "A" else "C"
+    noisy = "".join(noisy)
+    return _records(
+        [g[0:150], noisy[40:200], g[60:110], g[88:130], g[120:288], noisy[100:170]]
+    )
+
+
+def _boundary_dataset():
+    """Overlaps of exactly ``min_overlap`` bases and identity exactly
+    ``min_identity`` (27/30 == 36/40 == 0.9), on either side of the cut."""
+    rng = np.random.default_rng(34)
+    g = _genome(rng, 400)
+
+    def with_errors(read, positions):
+        read = list(read)
+        for pos in positions:
+            read[pos] = "A" if read[pos] != "A" else "C"
+        return "".join(read)
+
+    return _records(
+        [
+            g[0:100],
+            with_errors(g[70:170], (13, 21, 29)),  # 30 bases, 27 agree
+            g[130:230],  # 40-base overlap with the previous read
+            with_errors(g[190:290], (14, 22, 30, 38)),  # 40 bases, 36 agree
+            with_errors(g[261:361], (13, 21, 28)),  # 29 bases: too short
+            g[331:400] + g[0:31],
+        ]
+    )
+
+
+_DATASETS = {
+    "boundary": _boundary_dataset,
+    "conflict": _conflict_dataset,
+    "mixed": _mixed_dataset,
+    "repeats": _repeat_dataset,
+    "empty": lambda: [],
+}
+
+_SWEEP = [
+    Cap3Params(kmer_size=k, seed_stride=stride)
+    for k in (4, 12, 27, 28, 30)
+    for stride in (1, 8)
+] + [
+    Cap3Params(max_seed_span=10),
+    Cap3Params(kmer_size=28, seed_stride=1, max_seed_span=3),
+]
+
+
+def _assembly_view(result):
+    return (
+        [
+            (c.id, c.seq, c.reads, c.strands, c.coverage.tolist())
+            for c in result.contigs
+        ],
+        result.singletons,
+        result.stats,
+    )
+
+
+class TestCap3PlacementParity:
+    def test_orientation_edges_conflict_duplicates_containment(self):
+        records = _conflict_dataset()
+        arrays = _encoded(records)
+        params = Cap3Params()
+        edges = _orientation_edges(arrays, params)
+        assert edges == _orientation_edges_reference(arrays, params)
+        assert {False, True} <= {same for _, _, same in edges}
+        # The inputs really exercise what they claim to.
+        result = assemble(records, params)
+        assert result.stats["orientation_conflicts"] >= 1
+        overlaps, _ = _find_overlaps(arrays, params)
+        assert any(o.contained for o in overlaps)
+        assert any(
+            o.contained and o.length == len(arrays[o.b]) == len(arrays[o.a])
+            for o in overlaps
+        )
+
+    @pytest.mark.parametrize("dataset", sorted(_DATASETS))
+    @pytest.mark.parametrize(
+        "params",
+        _SWEEP,
+        ids=[
+            f"k{p.kmer_size}-s{p.seed_stride}-span{p.max_seed_span}"
+            for p in _SWEEP
+        ],
+    )
+    def test_sweep_matches_scalar_reference(self, params, dataset, monkeypatch):
+        records = _DATASETS[dataset]()
+        arrays = _encoded(records)
+        assert _orientation_edges(arrays, params) == (
+            _orientation_edges_reference(arrays, params)
+        )
+        assert _find_overlaps(arrays, params) == _find_overlaps_reference(
+            arrays, params
+        )
+
+        result = _assembly_view(assemble(records, params))
+        monkeypatch.setattr(
+            cap3_mod, "_orientation_edges", _orientation_edges_reference
+        )
+        monkeypatch.setattr(cap3_mod, "_find_overlaps", _find_overlaps_reference)
+        assert result == _assembly_view(assemble(records, params))
 
 
 class TestFastaConsensusRoundTrip:
