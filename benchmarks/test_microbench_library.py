@@ -59,6 +59,36 @@ def test_queue_operation_throughput(benchmark):
     assert benchmark(churn) == 200
 
 
+def test_queue_deep_backlog_throughput(benchmark):
+    """The paper's Classic Cloud backlog: every task enqueued up front
+    (4096 Cap3 files for 128 workers), then received and deleted one by
+    one.  Per-request cost must not grow with queue depth."""
+    from repro.cloud.queue import MessageQueue
+
+    n = 4096
+
+    def drain():
+        env = Environment()
+        queue = MessageQueue(
+            env, "bench", np.random.default_rng(0), latency_sigma=0.0,
+            miss_probability=0.0,
+        )
+
+        def driver(env):
+            for start in range(0, n, 10):
+                batch = list(range(start, min(start + 10, n)))
+                yield from queue.send_batch(batch)
+            yield env.timeout(1.0)  # let the last batch propagate
+            for _ in range(n):
+                message = yield from queue.receive()
+                yield from queue.delete(message)
+
+        env.run(until=env.process(driver(env)))
+        return queue.stats.deleted
+
+    assert benchmark(drain) == n
+
+
 def test_assembler_throughput(benchmark):
     reads = generate_read_records(
         60, read_length=200, rng=np.random.default_rng(5)

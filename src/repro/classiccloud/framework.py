@@ -139,6 +139,9 @@ class ClassicCloudConfig:
             raise ValueError("instances and workers must be >= 1")
         if self.threads_per_worker < 1:
             raise ValueError("threads_per_worker must be >= 1")
+        timeout = self.visibility_timeout_s
+        if timeout is not None and timeout < 0:
+            raise ValueError("visibility_timeout_s must be non-negative")
         itype = self.resolve_instance_type()
         slots = self.workers_per_instance * self.threads_per_worker
         if slots > itype.machine.cores:
@@ -654,14 +657,15 @@ class _SimRun:
         visibility timeout) exceed the receive limit — it must not count
         twice.
         """
+        # Hot path: the completion watcher and the speculator call this
+        # every loop turn, so its cost follows the DLQ, not the batch.
+        completed = self.completed
         if self.dead_letter_queue is None:
-            # Hot path: the completion watcher polls this every loop turn.
-            return len(self.completed)
-        accounted = set(self.completed)
-        accounted.update(
+            return len(completed)
+        failed = {
             task.task_id for task in self.dead_letter_queue.peek_bodies()
-        )
-        return len(accounted)
+        }
+        return len(completed) + sum(tid not in completed for tid in failed)
 
     def _completion_watcher(self):
         poll = self.config.poll_backoff_s

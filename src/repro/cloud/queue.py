@@ -25,7 +25,7 @@ import heapq
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Generator
 
@@ -40,6 +40,15 @@ __all__ = ["Message", "MessageQueue", "QueueStats", "StaleReceiptError"]
 
 class StaleReceiptError(RuntimeError):
     """Delete attempted with a receipt that is no longer current."""
+
+
+def _check_visibility_timeout(timeout_s: float) -> None:
+    # SQS rejects a negative VisibilityTimeout; zero (visible again at
+    # once) is legal.
+    if timeout_s < 0:
+        raise ValueError(
+            f"visibility timeout must be non-negative, got {timeout_s}"
+        )
 
 
 @dataclass
@@ -113,6 +122,7 @@ class MessageQueue:
         """
         if max_receive_count is not None and max_receive_count < 1:
             raise ValueError("max_receive_count must be >= 1")
+        _check_visibility_timeout(visibility_timeout_s)
         self.env = env
         self.name = name
         self.rng = rng
@@ -148,7 +158,12 @@ class MessageQueue:
         # (invisible) messages wait here until their visible_at.
         self._pending: list[tuple[float, int, int]] = []
         self._seq = itertools.count()
+        # Receivable ids in promotion order.  The order is part of the
+        # seeded contract (a receive draws an index into this list), so
+        # removals keep it; ``_visible_ids`` mirrors its membership so no
+        # request has to scan the backlog.
         self._visible: list[int] = []
+        self._visible_ids: set[int] = set()
         self._inflight: dict[int, int] = {}  # message_id -> current receipt
         # Long polling: parked receives in FIFO wake order, how many were
         # woken but have not resumed yet, and the one alarm timer that
@@ -207,7 +222,8 @@ class MessageQueue:
                     if self.dead_letter_queue is not None:
                         self.dead_letter_queue._accept_dead_letter(message)
                     continue
-            if message_id not in self._visible:
+            if message_id not in self._visible_ids:
+                self._visible_ids.add(message_id)
                 self._visible.append(message_id)
 
     def _schedule_visible(self, visible_at: float, message_id: int) -> None:
@@ -376,6 +392,8 @@ class MessageQueue:
         """
         if wait_time_s < 0:
             raise ValueError("wait_time_s must be non-negative")
+        if visibility_timeout_s is not None:
+            _check_visibility_timeout(visibility_timeout_s)
         self._meter_request()
         yield self.env.timeout(self._latency())
         self._promote_due()
@@ -411,6 +429,7 @@ class MessageQueue:
         )
         if not duplicated:
             self._visible.pop(index)
+            self._visible_ids.remove(message_id)
             self._inflight[message_id] = message.receipt
             message.visible_at = self.env.now + timeout
             self._schedule_visible(message.visible_at, message_id)
@@ -419,7 +438,15 @@ class MessageQueue:
         self.stats.received += 1
         # Hand back a snapshot: the receipt of *this* receive must not
         # mutate when the message is later re-received by someone else.
-        return replace(message)
+        return Message(
+            message_id,
+            message.body,
+            message.enqueued_at,
+            message.receive_count,
+            message.receipt,
+            message.first_received_at,
+            message.visible_at,
+        )
 
     def delete(self, message: Message) -> Generator:
         """Delete a received message (process).
@@ -449,11 +476,15 @@ class MessageQueue:
         if self._messages.pop(message.message_id, None) is not None:
             self.stats.deleted += 1
             self._set_depth()
-        if message.message_id in self._visible:
+        if message.message_id in self._visible_ids:
+            # A duplicate left visible, or a reappeared message deleted
+            # under its last receipt: rare, so the ordered scan is fine.
+            self._visible_ids.remove(message.message_id)
             self._visible.remove(message.message_id)
 
     def change_visibility(self, message: Message, timeout_s: float) -> Generator:
         """Extend/shrink the visibility window of an in-flight message."""
+        _check_visibility_timeout(timeout_s)
         self._meter_request()
         yield self.env.timeout(self._latency())
         if self._inflight.get(message.message_id) != message.receipt:

@@ -22,7 +22,7 @@ from typing import Any, Generator
 import numpy as np
 
 from repro.cloud.billing import CostMeter
-from repro.sim.engine import Environment
+from repro.sim.engine import Environment, Timeout
 
 __all__ = ["BlobNotFound", "BlobObject", "BlobStore", "StorageUnavailable"]
 
@@ -110,6 +110,8 @@ class BlobStore:
         self.env = env
         self.name = name
         self.rng = rng
+        # Bound method cache for the per-request hot path.
+        self._lognormal = rng.lognormal
         self.meter = meter
         self.request_latency_s = request_latency_s
         self.latency_sigma = latency_sigma
@@ -124,40 +126,46 @@ class BlobStore:
     def _latency(self, extra_latency_s: float = 0.0) -> float:
         return float(
             self.request_latency_s
-            * self.rng.lognormal(mean=0.0, sigma=self.latency_sigma)
+            * self._lognormal(0.0, self.latency_sigma)
             + extra_latency_s
         )
 
-    def _request(self, extra_latency_s: float = 0.0) -> Generator:
-        """One HTTP round-trip, with retry-on-error.
+    def _attempt(self, extra_latency_s: float) -> Timeout:
+        """Meter one HTTP request and return its round-trip timeout."""
+        if self.meter is not None:
+            self.meter.record_storage_request()
+        return self.env.timeout(self._latency(extra_latency_s))
 
-        Without a retry policy a 5xx backs off for twice the request
-        latency and retries forever; with one, delays follow the
-        policy and the budget is hard — exhaustion raises
-        :class:`StorageUnavailable`.
+    def _failed(self) -> bool:
+        """Draw whether the attempt just paid for hit a retryable 5xx."""
+        return bool(self.error_rate) and self.rng.random() < self.error_rate
+
+    def _retry(self, extra_latency_s: float) -> Generator:
+        """Retry after a failed first attempt, until one succeeds.
+
+        Every operation pays its first attempt inline (``yield
+        self._attempt(...)`` then :meth:`_failed`) and only enters this
+        generator on a failure.  Without a retry policy a 5xx backs off
+        for twice the request latency and retries forever; with one,
+        delays follow the policy and the budget is hard — exhaustion
+        raises :class:`StorageUnavailable`.
         """
         policy = self.retry_policy
-        attempt = 0
+        attempt = 1
         while True:
-            if self.meter is not None:
-                self.meter.record_storage_request()
-            yield self.env.timeout(self._latency(extra_latency_s))
-            if self.error_rate and self.rng.random() < self.error_rate:
-                attempt += 1
-                if policy is None:
-                    # Retryable 5xx: back off briefly and retry.
-                    yield self.env.timeout(
-                        self._latency(extra_latency_s) * 2.0
-                    )
-                    continue
+            if policy is None:
+                yield self.env.timeout(self._latency(extra_latency_s) * 2.0)
+            else:
                 if attempt >= policy.attempts:
                     raise StorageUnavailable(
                         f"{self.name}: request failed {attempt} times; "
                         "retry budget exhausted"
                     )
                 yield self.env.timeout(policy.backoff_s(attempt, self.rng))
-                continue
-            return
+            yield self._attempt(extra_latency_s)
+            if not self._failed():
+                return
+            attempt += 1
 
     def _transfer_time(self, size: int, bandwidth_bps: float | None) -> float:
         effective = self.bandwidth_bps if bandwidth_bps is None else min(
@@ -182,7 +190,9 @@ class BlobStore:
         """
         if size < 0:
             raise ValueError(f"negative object size {size}")
-        yield from self._request(extra_latency_s)
+        yield self._attempt(extra_latency_s)
+        if self._failed():
+            yield from self._retry(extra_latency_s)
         yield self.env.timeout(self._transfer_time(size, bandwidth_bps))
         entry = self._objects.get(key)
         version = entry.current.version + 1 if entry else 0
@@ -218,7 +228,9 @@ class BlobStore:
         yet visible under eventual consistency).  See :meth:`put` for the
         network-path overrides.
         """
-        yield from self._request(extra_latency_s)
+        yield self._attempt(extra_latency_s)
+        if self._failed():
+            yield from self._retry(extra_latency_s)
         entry = self._objects.get(key)
         visible = self._visible_version(entry)
         if visible is None:
@@ -231,18 +243,24 @@ class BlobStore:
 
     def head(self, key: str) -> Generator:
         """Metadata-only existence check (process).  Returns bool."""
-        yield from self._request()
+        yield self._attempt(0.0)
+        if self._failed():
+            yield from self._retry(0.0)
         return self._visible_version(self._objects.get(key)) is not None
 
     def delete(self, key: str) -> Generator:
         """Delete an object (process).  Idempotent, like S3."""
-        yield from self._request()
+        yield self._attempt(0.0)
+        if self._failed():
+            yield from self._retry(0.0)
         self._objects.pop(key, None)
         self.stats.deletes += 1
 
     def list_keys(self, prefix: str = "") -> Generator:
         """List visible keys under ``prefix`` (process)."""
-        yield from self._request()
+        yield self._attempt(0.0)
+        if self._failed():
+            yield from self._retry(0.0)
         return sorted(
             key
             for key, entry in self._objects.items()

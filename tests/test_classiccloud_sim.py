@@ -48,6 +48,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(threads_per_worker=0)
 
+    def test_negative_visibility_timeout_rejected(self):
+        with pytest.raises(ValueError, match="visibility_timeout_s"):
+            small_config(visibility_timeout_s=-1.0)
+        assert small_config(visibility_timeout_s=0.0).visibility_timeout_s == 0.0
+        assert small_config().visibility_timeout_s is None
+
 
 class TestHappyPath:
     def test_all_tasks_complete_exactly_once(self, cap3):

@@ -263,6 +263,40 @@ def test_negative_wait_rejected():
         drive(env, q.receive(wait_time_s=-1.0))
 
 
+def test_negative_visibility_timeout_rejected():
+    """SQS rejects a negative VisibilityTimeout: at the constructor, as a
+    per-receive override and on ChangeMessageVisibility."""
+    env = Environment()
+    with pytest.raises(ValueError, match="visibility timeout"):
+        make_queue(env, visibility_timeout_s=-5.0)
+    q = make_queue(env)
+    drive(env, q.send("t"))
+    with pytest.raises(ValueError, match="visibility timeout"):
+        drive(env, q.receive(visibility_timeout_s=-1.0))
+    # Rejected before the request: nothing metered, nothing received.
+    assert q.stats.requests == 1 and q.stats.received == 0
+    msg = drive(env, q.receive())
+    with pytest.raises(ValueError, match="visibility timeout"):
+        drive(env, q.change_visibility(msg, -0.5))
+    # The message is still in flight under its receipt.
+    assert q.visible_now() == 0
+    drive(env, q.delete(msg))
+    assert q.approximate_size() == 0
+
+
+def test_zero_visibility_timeout_is_legal():
+    env = Environment()
+    q = make_queue(env, visibility_timeout_s=0.0)
+    drive(env, q.send("t"))
+    first = drive(env, q.receive())
+    # Visible again at once: the next receive redelivers it.
+    second = drive(env, q.receive())
+    assert second.message_id == first.message_id
+    assert second.receive_count == 2
+    drive(env, q.change_visibility(second, 0.0))
+    assert q.visible_now() == 1
+
+
 def test_send_batch_meters_one_request():
     env = Environment()
     meter = CostMeter(AWS_PRICES)

@@ -120,3 +120,39 @@ def test_failed_tasks_round_trip_through_json(cap3, tmp_path):
     back = RunResult.from_json(path)
     assert back.failed == poison
     assert back.completed_task_ids == result.completed_task_ids
+
+
+class _CountOnly:
+    """A completion set that answers ``len`` and ``in`` but refuses to be
+    iterated: accounting must not walk every completed task."""
+
+    def __init__(self, ids):
+        self._ids = frozenset(ids)
+
+    def __len__(self):
+        return len(self._ids)
+
+    def __contains__(self, task_id):
+        return task_id in self._ids
+
+    def __iter__(self):
+        raise AssertionError("redrive accounting iterated the completions")
+
+
+def test_redrive_accounting_is_a_union_without_scanning_completions(cap3):
+    """The watcher's per-poll accounting costs O(dead letters), not
+    O(completed), and still counts a task that both completed and
+    dead-lettered once."""
+    from repro.classiccloud.framework import _SimRun
+
+    tasks = cap3_task_specs(16, reads_per_file=200)  # ~48 s tasks
+    run = _SimRun(
+        config(max_attempts=2, visibility_timeout_s=2.0), cap3, tasks
+    )
+    run.execute()
+    dead = {t.task_id for t in run.dead_letter_queue.peek_bodies()}
+    # Healthy tasks dead-letter *and* complete: a sum would overcount.
+    assert dead & run.completed
+    assert len(run.completed) + len(dead) > len(tasks)
+    run.completed = _CountOnly(run.completed)
+    assert run._accounted_tasks() == len(tasks)
