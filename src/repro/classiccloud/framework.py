@@ -17,35 +17,24 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 from repro.apps.perfmodels import task_runtime_seconds
-from repro.autoscale.controller import AutoscaleController
 from repro.autoscale.plan import AutoscalePlan
 from repro.chaos.injectors import ChaosController
 from repro.chaos.plan import ChaosPlan
-from repro.chaos.retry import RetryPolicy, run_with_retry
+from repro.chaos.retry import RetryPolicy
 from repro.chaos.speculation import BackupCopy, SpeculationPolicy
-from repro.cloud.billing import CostMeter
-from repro.cloud.compute import CloudProvider, VmInstance
+from repro.classiccloud.fleet import QueueFleet
 from repro.cloud.failures import FaultPlan
 from repro.cloud.instance_types import (
     InstanceType,
     MachineModel,
     get_instance_type,
 )
-from repro.cloud.pricing import AWS_PRICES, AZURE_PRICES
 from repro.cloud.queue import MessageQueue, StaleReceiptError
-from repro.cloud.storage import BlobNotFound, BlobStore, StorageUnavailable
 from repro.core.application import Application
-from repro.core.task import RunResult, TaskRecord, TaskSpec
-from repro.obs.context import current as _current_obs
-from repro.sim.engine import Environment, Interrupt, make_environment
-from repro.sim.rng import RngRegistry
+from repro.core.task import RunResult, TaskSpec
+from repro.sim.engine import Environment
 
 __all__ = ["ClassicCloudConfig", "ClassicCloudFramework", "LocalAugmentation"]
-
-#: The workers' eventual-consistency download loop, expressed as a
-#: retry policy: 241 attempts at a flat 0.5 s — byte-identical in
-#: timing (and RNG consumption: none) to the historical ``for`` loop.
-_DOWNLOAD_RETRY = RetryPolicy.fixed(attempts=241, delay_s=0.5)
 
 
 @dataclass(frozen=True)
@@ -142,6 +131,22 @@ class ClassicCloudConfig:
         timeout = self.visibility_timeout_s
         if timeout is not None and timeout < 0:
             raise ValueError("visibility_timeout_s must be non-negative")
+        if self.poll_backoff_s < 0:
+            raise ValueError("poll_backoff_s must be non-negative")
+        # Crash indices address the initial fleet (an autoscaled one is
+        # clamped into the plan's bounds), then the on-premise workers.
+        n_instances = self.n_instances
+        if self.autoscale is not None:
+            n_instances = self.autoscale.clamp(n_instances)
+        n_workers = n_instances * self.workers_per_instance
+        if self.local_augmentation is not None:
+            n_workers += self.local_augmentation.n_workers
+        for crash in self.fault_plan.worker_crashes:
+            if crash.worker_index >= n_workers:
+                raise ValueError(
+                    f"WorkerCrash worker_index {crash.worker_index} is "
+                    f"out of range for {n_workers} workers"
+                )
         itype = self.resolve_instance_type()
         slots = self.workers_per_instance * self.threads_per_worker
         if slots > itype.machine.cores:
@@ -212,39 +217,19 @@ class ClassicCloudFramework:
         )
 
 
-class _SimRun:
+class _SimRun(QueueFleet):
     """One execution: wires the substrate together and plays it out."""
 
     def __init__(
         self, config: ClassicCloudConfig, app: Application, tasks: list[TaskSpec]
     ):
-        self.config = config
         self.app = app
         self.tasks = tasks
-        # Observability bundle captured once on the driving thread; the
-        # cloud services below pick up the same ambient context.
-        self.obs = _current_obs()
-        self.tracer = self.obs.tracer
-        self.env = make_environment(sanitize=True if config.sanitize else None)
-        self.rng = RngRegistry(config.seed)
-        prices = AWS_PRICES if config.provider == "aws" else AZURE_PRICES
-        self.meter = CostMeter(prices)
-        self.cloud = CloudProvider(
-            self.env,
-            config.provider,
-            self.rng.stream("provision"),
-            meter=self.meter,
-            perf_jitter=config.perf_jitter,
-        )
-        self.storage = BlobStore(
-            self.env,
-            "storage",
-            self.rng.stream("storage"),
-            meter=self.meter,
-            consistency_window_s=config.consistency_window_s,
-            error_rate=config.fault_plan.storage_error_rate,
-            retry_policy=config.retry_policy,
-        )
+        self.fault_plan = config.fault_plan
+        self.retry_policy = config.retry_policy
+        self.poll_backoff_s = config.poll_backoff_s
+        self.threads_per_worker = config.threads_per_worker
+        super().__init__(config)
         self.dead_letter_queue: MessageQueue | None = None
         if config.max_task_attempts is not None:
             self.dead_letter_queue = MessageQueue(
@@ -259,7 +244,16 @@ class _SimRun:
             "tasks",
             self.rng.stream("queue"),
             meter=self.meter,
-            visibility_timeout_s=self._visibility_timeout(),
+            visibility_timeout_s=self._visibility_timeout(
+                task_runtime_seconds(
+                    app.perf_model,
+                    t.work_units,
+                    config.resolve_instance_type().machine,
+                    concurrent_workers=config.workers_per_instance,
+                    threads=self.threads_per_worker,
+                )
+                for t in tasks
+            ),
             miss_probability=config.fault_plan.queue_miss_probability,
             duplicate_probability=config.fault_plan.message_duplicate_probability,
             max_receive_count=config.max_task_attempts,
@@ -273,14 +267,8 @@ class _SimRun:
             visibility_timeout_s=60.0,
             miss_probability=0.0,
         )
-        self.records: list[TaskRecord] = []
         self.completed: set[str] = set()
-        self.measure_start = 0.0
         self.preload_seconds = 0.0
-        self._worker_counter = 0
-        self._busy_workers = 0
-        self._worker_instance: dict[int, VmInstance] = {}
-        self._all_workers: list = []
         # Resilience bookkeeping (chaos / speculation / retry runs).
         self._task_started_at: dict[str, float] = {}
         self._finished_ids: set[str] = set()
@@ -304,36 +292,10 @@ class _SimRun:
                 restart_worker=self._restart_worker_like,
                 preempt_instance=self._chaos_preempt,
             )
-        self.controller: AutoscaleController | None = None
-        if config.autoscale is not None:
-            self.controller = AutoscaleController(
-                self.env,
-                config.autoscale,
-                self.cloud,
-                config.resolve_instance_type(),
-                config.workers_per_instance,
-                self.task_queue,
-                self.rng.stream("spot-market"),
-                spawn_workers=self._spawn_instance_workers,
-                is_done=lambda: self._accounted_tasks() >= len(self.tasks),
-            )
-
-    def _visibility_timeout(self) -> float:
-        if self.config.visibility_timeout_s is not None:
-            return self.config.visibility_timeout_s
-        machine = self.config.resolve_instance_type().machine
-        worst = max(
-            task_runtime_seconds(
-                self.app.perf_model,
-                t.work_units,
-                machine,
-                concurrent_workers=self.config.workers_per_instance,
-                threads=self.config.threads_per_worker,
-            )
-            for t in self.tasks
+        self._make_controller(
+            self.task_queue,
+            is_done=lambda: self._accounted_tasks() >= len(self.tasks),
         )
-        # Headroom for download/upload and stragglers.
-        return max(60.0, 3.0 * worst)
 
     # -- orchestration -------------------------------------------------------
     def execute(self) -> RunResult:
@@ -446,14 +408,7 @@ class _SimRun:
     def _driver(self):
         config = self.config
         itype = config.resolve_instance_type()
-        if self.controller is not None:
-            instances = yield self.env.process(
-                self.controller.launch_initial(config.n_instances)
-            )
-        else:
-            instances = yield self.env.process(
-                self.cloud.provision(itype, config.n_instances)
-            )
+        instances = yield from self._provision()
         # Stage inputs: metered (storage + ingress) but, per the paper's
         # methodology, outside the measured window and free of simulated
         # time (data "already present in the preferred storage").
@@ -472,23 +427,14 @@ class _SimRun:
             )
             self.preload_seconds = self.env.now - preload_start
 
-        self.measure_start = self.env.now
         # Bill from the measured window: the paper excludes environment
         # preparation (provisioning, software install, database preload)
         # from the computation's hourly charges.
-        for instance in instances:
-            instance.launched_at = self.measure_start
+        self._open_window(instances)
 
         # Client populates the scheduling queue while workers consume.
         self.env.process(self._client(), name="client")
-        workers: list = []
-        for instance in instances:
-            procs = self._spawn_instance_workers(instance)
-            workers.extend(procs)
-            if self.controller is not None:
-                self.controller.track(instance, procs)
-        if self.controller is not None:
-            self.controller.start()
+        workers = self._start_fleet(instances)
         # On-premise augmentation workers share the queue, but reach
         # storage over the WAN.
         if config.local_augmentation is not None:
@@ -506,12 +452,12 @@ class _SimRun:
                 )
         # Fault injection: schedule crashes against the global worker
         # index (instance-major order, matching spawn order).
+        # (ClassicCloudConfig rejects indices beyond the fleet.)
         for crash in config.fault_plan.worker_crashes:
-            if 0 <= crash.worker_index < len(workers):
-                self.env.process(
-                    self._crasher(workers[crash.worker_index], crash),
-                    name=f"crasher-{crash.worker_index}",
-                )
+            self.env.process(
+                self._crasher(workers[crash.worker_index], crash),
+                name=f"crasher-{crash.worker_index}",
+            )
         # Chaos: the seeded plan's clock starts at the measured window.
         if self.chaos is not None:
             self.chaos.start_at = self.measure_start
@@ -523,47 +469,6 @@ class _SimRun:
         yield completion
         return self.env.now - self.measure_start
 
-    def _spawn_instance_workers(self, instance) -> list:
-        """Start the configured workers on one (possibly fresh) instance."""
-        return [
-            self._spawn_worker(instance)
-            for _ in range(self.config.workers_per_instance)
-        ]
-
-    def _spawn_worker(
-        self,
-        host,
-        concurrent_workers: int | None = None,
-        wan_bandwidth_bps: float | None = None,
-        wan_latency_s: float = 0.0,
-        prefix: str = "worker",
-    ):
-        self._worker_counter += 1
-        name = f"{prefix}-{self._worker_counter}"
-        if concurrent_workers is None:
-            concurrent_workers = self.config.workers_per_instance
-        process = self.env.process(
-            self._worker(
-                host, name, concurrent_workers, wan_bandwidth_bps, wan_latency_s
-            ),
-            name=name,
-        )
-        self._worker_instance[id(process)] = host
-        self._all_workers.append(process)
-        return process
-
-    def _respawn_after_poison(
-        self, host, concurrent_workers, wan_bandwidth_bps, wan_latency_s
-    ):
-        yield self.env.timeout(self.config.fault_plan.poison_restart_s)
-        if host.is_running:
-            self._spawn_worker(
-                host,
-                concurrent_workers=concurrent_workers,
-                wan_bandwidth_bps=wan_bandwidth_bps,
-                wan_latency_s=wan_latency_s,
-            )
-
     def _crasher(self, worker_process, crash):
         delay = self.measure_start + crash.at_time - self.env.now
         yield self.env.timeout(max(0.0, delay))
@@ -571,10 +476,7 @@ class _SimRun:
             worker_process.interrupt("fault-injected crash")
         if crash.restart_after is not None:
             yield self.env.timeout(crash.restart_after)
-            # Replacement worker on the same instance as the victim.
-            instance = self._worker_instance.get(id(worker_process))
-            if instance is not None and instance.is_running:
-                self._spawn_worker(instance)
+            self._restart_worker_like(worker_process)
 
     # -- chaos hooks -----------------------------------------------------------
     def _restart_worker_like(self, victim) -> None:
@@ -688,20 +590,11 @@ class _SimRun:
                 pass
 
     # -- the worker ------------------------------------------------------------
-    def _sample_busy(self, delta: int) -> None:
-        """Timeline samples: busy workers + utilization over sim time.
-
-        Every ``+1`` is paired with a ``-1``: the normal path emits it
-        after the task completes, and the Interrupt recovery path emits
-        it for a worker killed mid-task (poison / preemption / chaos),
-        so the gauge returns to zero when the run drains.
-        """
+    def _set_busy(self, name: str, busy: bool) -> None:
+        """The busy gauge, plus fleet utilization over sim time."""
+        super()._set_busy(name, busy)
         if not self.obs.enabled:
             return
-        self._busy_workers += delta
-        now = self.env.now
-        timeline = self.obs.timeline
-        timeline.sample("workers.busy", now, self._busy_workers)
         if self.controller is not None:
             slots = (
                 len(self.controller.active_instances())
@@ -710,218 +603,37 @@ class _SimRun:
         else:
             slots = self.config.total_workers
         if slots > 0:
-            timeline.sample(
-                "workers.utilization", now, self._busy_workers / slots
+            self.obs.timeline.sample(
+                "workers.utilization", self.env.now, len(self._busy) / slots
             )
 
-    def _worker(
-        self,
-        host,
-        name: str,
-        concurrent_workers: int,
-        wan_bandwidth_bps: float | None = None,
-        wan_latency_s: float = 0.0,
-    ):
-        config = self.config
-        rng = self.rng.stream(f"{name}-jitter")
-        straggle_rng = self.rng.stream(f"{name}-straggle")
-        retry_policy = config.retry_policy
-        backoff_rng = (
-            self.rng.stream(f"{name}-backoff")
-            if retry_policy is not None
-            else None
-        )
-        tracer = self.tracer
-        wait_start = self.env.now
-        busy = False  # whether a +1 busy sample awaits its -1
-        empty_streak = 0
-        try:
-            while len(self.completed) < len(self.tasks):
-                # Scale-in: a draining (or already terminated) host stops
-                # taking new tasks; the current task was finished first.
-                if host.draining or not host.is_running:
-                    return
-                msg = yield from self.task_queue.receive()
-                if wan_latency_s:
-                    yield self.env.timeout(wan_latency_s)
-                if msg is None:
-                    # With a retry policy the empty-receive backoff grows
-                    # (jittered) instead of hammering a drained queue at
-                    # a fixed period.
-                    if retry_policy is not None:
-                        empty_streak = min(empty_streak + 1, 30)
-                        yield self.env.timeout(
-                            config.poll_backoff_s
-                            + retry_policy.backoff_s(
-                                empty_streak, backoff_rng
-                            )
-                        )
-                    else:
-                        yield self.env.timeout(config.poll_backoff_s)
-                    continue
-                empty_streak = 0
-                body = msg.body
-                speculative = isinstance(body, BackupCopy)
-                task: TaskSpec = body.task if speculative else body
-                started = self.env.now
-                self._task_started_at[task.task_id] = started
-                first_attempt = msg.receive_count == 1
+    def _worker(self, *args):
+        # A process generator of the batch's own, so host-time profiles
+        # (repobench/layers.py) can tell its workers apart.
+        yield from self._work(*args)
 
-                # Poison task: executing its input kills the worker.
-                # The message reappears after the visibility timeout and
-                # — with a redrive policy — eventually dead-letters.
-                if task.task_id in config.fault_plan.poison_task_ids:
-                    self.env.process(
-                        self._respawn_after_poison(
-                            host,
-                            concurrent_workers,
-                            wan_bandwidth_bps,
-                            wan_latency_s,
-                        ),
-                        name=f"{name}-respawn",
-                    )
-                    return
+    def _job(self, body):
+        speculative = isinstance(body, BackupCopy)
+        task: TaskSpec = body.task if speculative else body
+        self._task_started_at[task.task_id] = self.env.now
+        return task, self.app.perf_model, speculative
 
-                self._sample_busy(+1)
-                busy = True
+    def _working(self) -> bool:
+        return len(self.completed) < len(self.tasks)
 
-                try:
-                    # Download the input file over HTTP, retrying through
-                    # eventual-consistency 404s.  Bounded: a key that
-                    # never appears is a configuration error, not a
-                    # consistency blip, and must fail loudly rather than
-                    # hang the run.
-                    t0 = self.env.now
-                    try:
-                        yield from run_with_retry(
-                            self.env,
-                            _DOWNLOAD_RETRY,
-                            lambda: self.storage.get(
-                                task.input_key,
-                                bandwidth_bps=wan_bandwidth_bps,
-                                extra_latency_s=wan_latency_s,
-                            ),
-                            retryable=(BlobNotFound,),
-                        )
-                    except BlobNotFound:
-                        raise RuntimeError(
-                            f"input {task.input_key!r} never became "
-                            "visible in storage"
-                        ) from None
-                    download_time = self.env.now - t0
-
-                    # Execute the program.
-                    service = task_runtime_seconds(
-                        self.app.perf_model,
-                        task.work_units,
-                        host.machine,
-                        concurrent_workers=concurrent_workers,
-                        threads=config.threads_per_worker,
-                        clock_ghz=host.effective_clock_ghz(),
-                    )
-                    plan = config.fault_plan
-                    if (
-                        plan.straggler_probability
-                        and straggle_rng.random()
-                        < plan.straggler_probability
-                    ):
-                        service *= plan.straggler_slowdown
-                    # Small service-time noise on top of instance jitter.
-                    service *= float(rng.uniform(0.98, 1.02))
-                    t1 = self.env.now
-                    yield self.env.timeout(service)
-                    compute_time = self.env.now - t1
-
-                    # Upload the result (idempotent overwrite on
-                    # re-execution).
-                    t2 = self.env.now
-                    yield from self.storage.put(
-                        task.output_key,
-                        task.output_size,
-                        bandwidth_bps=wan_bandwidth_bps,
-                        extra_latency_s=wan_latency_s,
-                    )
-                    upload_time = self.env.now - t2
-                except StorageUnavailable:
-                    # Retry budget exhausted mid-attempt: abandon it.
-                    # The undeleted message reappears after the
-                    # visibility timeout and another worker re-executes
-                    # the task — the recovery path the paper relies on.
-                    self._sample_busy(-1)
-                    busy = False
-                    wait_start = self.env.now
-                    continue
-
-                # Delete the message; a stale receipt means the task was
-                # re-delivered meanwhile — our (identical) result stands.
-                was_duplicate = not first_attempt
-                try:
-                    yield from self.task_queue.delete(msg)
-                except StaleReceiptError:
-                    was_duplicate = True
-                yield from self.monitor_queue.send(task.task_id)
-
-                # First finisher wins; a backup copy (or the original it
-                # raced) landing second is redundant work, same as a
-                # redelivered duplicate.
-                finished_before = task.task_id in self._finished_ids
-                self._finished_ids.add(task.task_id)
-                won = not was_duplicate and not finished_before
-                if (
-                    not finished_before
-                    and msg.receive_count > 1
-                    and msg.first_received_at is not None
-                ):
-                    # Completed on a redelivery: the visibility-timeout
-                    # recovery path repaired lost work — record how long
-                    # it took (MTTR numerator).
-                    self._recoveries.append(
-                        self.env.now - msg.first_received_at
-                    )
-                self.records.append(
-                    TaskRecord(
-                        task_id=task.task_id,
-                        worker=name,
-                        started_at=started,
-                        finished_at=self.env.now,
-                        download_time=download_time,
-                        compute_time=compute_time,
-                        upload_time=upload_time,
-                        attempt=msg.receive_count,
-                        was_duplicate=was_duplicate,
-                        speculative=speculative,
-                        won=won,
-                    )
-                )
-                # Spans mirror the record exactly (same env.now readings,
-                # emitted with no intervening yields), so Chrome-trace
-                # phase totals agree with analysis.phase_breakdown.
-                if tracer.enabled:
-                    tid = task.task_id
-                    tracer.add(
-                        "task.queue_wait", track=name,
-                        start=wait_start, end=started, task_id=tid,
-                    )
-                    tracer.add(
-                        "task.download", track=name,
-                        start=t0, end=t0 + download_time, task_id=tid,
-                    )
-                    tracer.add(
-                        "task.compute", track=name,
-                        start=t1, end=t1 + compute_time, task_id=tid,
-                    )
-                    tracer.add(
-                        "task.upload", track=name,
-                        start=t2, end=t2 + upload_time, task_id=tid,
-                    )
-                self._sample_busy(-1)
-                busy = False
-                wait_start = self.env.now
-        except Interrupt:
-            # Crashed (poison / preemption / chaos): the in-flight
-            # message reappears after the visibility timeout.  Emit the
-            # busy end-sentinel the completion path would have emitted
-            # so the sampled gauge doesn't stay inflated forever.
-            if busy:
-                self._sample_busy(-1)
-            return
+    def _finish(self, task, msg, was_duplicate: bool) -> bool:
+        # First finisher wins; a backup copy (or the original it raced)
+        # landing second is redundant work, same as a redelivered
+        # duplicate.
+        finished_before = task.task_id in self._finished_ids
+        self._finished_ids.add(task.task_id)
+        if (
+            not finished_before
+            and msg.receive_count > 1
+            and msg.first_received_at is not None
+        ):
+            # Completed on a redelivery: the visibility-timeout recovery
+            # path repaired lost work — record how long it took (MTTR
+            # numerator).
+            self._recoveries.append(self.env.now - msg.first_received_at)
+        return not was_duplicate and not finished_before

@@ -28,6 +28,14 @@ class WorkerCrash:
     at_time: float
     restart_after: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.worker_index < 0:
+            raise ValueError("worker_index must be non-negative")
+        if self.at_time < 0:
+            raise ValueError("at_time must be non-negative")
+        if self.restart_after is not None and self.restart_after < 0:
+            raise ValueError("restart_after must be non-negative")
+
 
 @dataclass
 class FaultPlan:
@@ -52,6 +60,20 @@ class FaultPlan:
     # fix these — only a dead-letter redrive policy bounds them.
     poison_task_ids: frozenset[str] = frozenset()
     poison_restart_s: float = 30.0  # replacement worker delay
+
+    def __post_init__(self) -> None:
+        for name in (
+            "message_duplicate_probability",
+            "queue_miss_probability",
+            "storage_error_rate",
+            "straggler_probability",
+        ):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
+        if self.straggler_slowdown < 1.0:
+            raise ValueError("straggler_slowdown must be >= 1")
+        if self.poison_restart_s < 0:
+            raise ValueError("poison_restart_s must be non-negative")
 
     def crashes_for(self, worker_index: int) -> list[WorkerCrash]:
         """Crashes scheduled against one worker, in time order."""

@@ -6,9 +6,9 @@ BLAST / GTM jobs, the :class:`~repro.serve.admission.AdmissionController`
 sheds what the quotas and the global backlog cap refuse, the
 :class:`~repro.serve.scheduler.FairShareScheduler` dispatches admitted
 jobs into the same at-least-once message queue the ClassicCloud
-framework uses, and a polling worker fleet (static or autoscaled, spot
-preemption included) executes them with the blob-storage and perf-model
-behaviour of a batch run.
+framework uses, and the batch run's worker fleet
+(:class:`~repro.classiccloud.fleet.QueueFleet`: static or autoscaled,
+spot preemption included) executes them.
 
 Fault tolerance is inherited, not reimplemented: a worker preempted
 mid-job simply dies with its message in flight, the message reappears
@@ -28,20 +28,12 @@ import math
 from dataclasses import dataclass, field
 
 from repro.apps.perfmodels import task_runtime_seconds
-from repro.autoscale.controller import AutoscaleController
-from repro.chaos.retry import RetryPolicy, run_with_retry
 from repro.autoscale.plan import AutoscalePlan
-from repro.cloud.billing import CostMeter
-from repro.cloud.compute import CloudProvider
+from repro.classiccloud.fleet import QueueFleet
 from repro.cloud.instance_types import InstanceType, get_instance_type
-from repro.cloud.pricing import AWS_PRICES, AZURE_PRICES
-from repro.cloud.queue import MessageQueue, StaleReceiptError
-from repro.cloud.storage import BlobNotFound, BlobStore
+from repro.cloud.queue import MessageQueue
 from repro.core.application import Application, get_application
-from repro.core.task import TaskRecord, TaskSpec
-from repro.obs.context import current as _current_obs
-from repro.sim.engine import Environment, Interrupt, make_environment
-from repro.sim.rng import RngRegistry
+from repro.core.task import TaskRecord
 from repro.serve.admission import AdmissionController, AdmissionOutcome
 from repro.serve.scheduler import FairShareScheduler
 from repro.serve.tenants import TenantSpec, peak_rate, rate_at
@@ -54,9 +46,6 @@ __all__ = [
     "run_serve",
 ]
 
-#: Download-through-404 stance: fixed 0.5 s polls for up to two minutes,
-#: timing-identical to the historical inline loop (241 attempts).
-_DOWNLOAD_RETRY = RetryPolicy.fixed(attempts=241, delay_s=0.5)
 #: Long-poll wait of each worker receive: SQS ``WaitTimeSeconds`` at its
 #: maximum.  Idle workers park in the queue instead of re-polling and
 #: are woken the moment a job becomes visible.
@@ -287,34 +276,14 @@ class _BacklogView:
         return self._admission.total_in_system()
 
 
-class JobService:
+class JobService(QueueFleet):
     """One sustained-traffic run of the multi-tenant service."""
 
+    receive_wait_s = _RECEIVE_WAIT_S
+
     def __init__(self, config: ServeConfig):
-        self.config = config
+        super().__init__(config)
         self.tenants = config.tenants
-        self.obs = _current_obs()
-        self.tracer = self.obs.tracer
-        self.env: Environment = make_environment(
-            sanitize=True if config.sanitize else None
-        )
-        self.rng = RngRegistry(config.seed)
-        prices = AWS_PRICES if config.provider == "aws" else AZURE_PRICES
-        self.meter = CostMeter(prices)
-        self.cloud = CloudProvider(
-            self.env,
-            config.provider,
-            self.rng.stream("provision"),
-            meter=self.meter,
-            perf_jitter=config.perf_jitter,
-        )
-        self.storage = BlobStore(
-            self.env,
-            "storage",
-            self.rng.stream("storage"),
-            meter=self.meter,
-            consistency_window_s=config.consistency_window_s,
-        )
         self._apps: dict[str, Application] = {
             spec.app: get_application(spec.app) for spec in self.tenants
         }
@@ -323,7 +292,17 @@ class JobService:
             "serve-tasks",
             self.rng.stream("queue"),
             meter=self.meter,
-            visibility_timeout_s=self._visibility_timeout(),
+            # Envelope: three mean work units covers the lognormal tail
+            # at the configured coefficients of variation.
+            visibility_timeout_s=self._visibility_timeout(
+                task_runtime_seconds(
+                    self._apps[spec.app].perf_model,
+                    3.0 * spec.job_work_units,
+                    config.resolve_instance_type().machine,
+                    concurrent_workers=config.workers_per_instance,
+                )
+                for spec in self.tenants
+            ),
         )
         self.admission = AdmissionController(
             self.tenants, config.max_backlog
@@ -340,45 +319,15 @@ class JobService:
         )
         self._jobs: dict[str, _JobMeta] = {}
         self._completed: set[str] = set()
-        self.records: list[TaskRecord] = []
-        self.measure_start = 0.0
-        self._worker_counter = 0
-        self._busy: set[str] = set()  # names of workers holding a job
         self._instances: list = []
         self._stopping = False
-        self.controller: AutoscaleController | None = None
-        if config.autoscale is not None:
-            self.controller = AutoscaleController(
-                self.env,
-                config.autoscale,
-                self.cloud,
-                config.resolve_instance_type(),
-                config.workers_per_instance,
-                _BacklogView(self.admission),
-                self.rng.stream("spot-market"),
-                spawn_workers=self._spawn_instance_workers,
-                is_done=lambda: self._stopping,
-                on_drain=self._release_idle,
-            )
+        self._make_controller(
+            _BacklogView(self.admission),
+            is_done=lambda: self._stopping,
+            on_drain=self._release_idle,
+        )
 
     # -- derived knobs -----------------------------------------------------
-    def _visibility_timeout(self) -> float:
-        if self.config.visibility_timeout_s is not None:
-            return self.config.visibility_timeout_s
-        machine = self.config.resolve_instance_type().machine
-        # Envelope: three mean work units covers the lognormal tail at
-        # the configured coefficients of variation.
-        worst = max(
-            task_runtime_seconds(
-                self._apps[spec.app].perf_model,
-                3.0 * spec.job_work_units,
-                machine,
-                concurrent_workers=self.config.workers_per_instance,
-            )
-            for spec in self.tenants
-        )
-        return max(60.0, 3.0 * worst)
-
     def _capacity_slots(self) -> int:
         if self.controller is not None:
             return (
@@ -467,19 +416,8 @@ class JobService:
     # -- driver ------------------------------------------------------------
     def _driver(self):
         config = self.config
-        itype = config.resolve_instance_type()
-        instances = []
-        if self.controller is not None:
-            instances = yield self.env.process(
-                self.controller.launch_initial(config.n_instances)
-            )
-        elif config.n_instances > 0:
-            instances = yield self.env.process(
-                self.cloud.provision(itype, config.n_instances)
-            )
-        self.measure_start = self.env.now
-        for instance in instances:
-            instance.launched_at = self.measure_start
+        instances = yield from self._provision()
+        self._open_window(instances)
         self._instances = list(instances)
 
         for spec in self.tenants:
@@ -487,12 +425,7 @@ class JobService:
                 self._arrivals(spec), name=f"arrivals-{spec.name}"
             )
         self.env.process(self.scheduler.run(), name="scheduler")
-        for instance in instances:
-            procs = self._spawn_instance_workers(instance)
-            if self.controller is not None:
-                self.controller.track(instance, procs)
-        if self.controller is not None:
-            self.controller.start()
+        self._start_fleet(instances)
         if self.obs.enabled:
             self.env.process(self._monitor(), name="serve-monitor")
 
@@ -512,7 +445,10 @@ class JobService:
         abandoned = self.admission.abandon_remaining()
         if abandoned and self.tracer.enabled:
             self.tracer.instant(
-                "serve.abandoned", track="service", count=abandoned
+                "serve.abandoned",
+                track="service",
+                ts=self.env.now,
+                count=abandoned,
             )
         self.scheduler.stop()
         self._stopping = True
@@ -547,6 +483,7 @@ class JobService:
                 self.tracer.instant(
                     "serve.shed",
                     track="service",
+                    ts=now,
                     tenant=spec.name,
                     outcome=outcome.value,
                 )
@@ -580,28 +517,7 @@ class JobService:
             )
             yield self.env.timeout(5.0)
 
-    def _set_busy(self, name: str, busy: bool) -> None:
-        if busy:
-            self._busy.add(name)
-        else:
-            self._busy.discard(name)
-        if self.obs.enabled:
-            self.obs.timeline.sample(
-                "workers.busy", self.env.now, len(self._busy)
-            )
-
     # -- the worker fleet --------------------------------------------------
-    def _spawn_instance_workers(self, instance) -> list:
-        return [
-            self._spawn_worker(instance)
-            for _ in range((self.config.workers_per_instance))
-        ]
-
-    def _spawn_worker(self, host):
-        self._worker_counter += 1
-        name = f"worker-{self._worker_counter}"
-        return self.env.process(self._worker(host, name), name=name)
-
     def _release_idle(self, workers: list) -> None:
         """Drain hook: a draining host's idle workers exit at once.
 
@@ -613,127 +529,30 @@ class JobService:
             if proc.is_alive and proc.name not in self._busy:
                 proc.interrupt("draining")
 
-    def _worker(self, host, name: str):
-        """Receive, download, compute, upload, delete: one job at a time.
+    def _worker(self, *args):
+        # A process generator of the service's own, so host-time profiles
+        # (repobench/layers.py) can tell its workers apart.
+        yield from self._work(*args)
 
-        An idle worker parks in a long poll (``_RECEIVE_WAIT_S``) and
-        loops straight back when it times out empty.
-        """
-        config = self.config
-        jitter_rng = self.rng.stream(f"{name}-jitter")
-        tracer = self.tracer
-        wait_start = self.env.now
-        try:
-            while not self._stopping:
-                if host.draining or not host.is_running:
-                    return
-                msg = yield from self.task_queue.receive(
-                    wait_time_s=_RECEIVE_WAIT_S
-                )
-                if msg is None:
-                    continue
-                task: TaskSpec = msg.body
-                meta = self._jobs[task.task_id]
-                started = self.env.now
-                self._set_busy(name, True)
+    def _job(self, body):
+        return body, self._jobs[body.task_id].app.perf_model, False
 
-                # Download through eventual-consistency 404s (bounded).
-                t0 = self.env.now
-                try:
-                    yield from run_with_retry(
-                        self.env,
-                        _DOWNLOAD_RETRY,
-                        lambda: self.storage.get(task.input_key),
-                        retryable=(BlobNotFound,),
-                    )
-                except BlobNotFound:
-                    raise RuntimeError(
-                        f"input {task.input_key!r} never became "
-                        "visible in storage"
-                    ) from None
-                download_time = self.env.now - t0
+    def _working(self) -> bool:
+        return not self._stopping
 
-                service = task_runtime_seconds(
-                    meta.app.perf_model,
-                    task.work_units,
-                    host.machine,
-                    concurrent_workers=config.workers_per_instance,
-                    clock_ghz=host.effective_clock_ghz(),
-                )
-                service *= float(jitter_rng.uniform(0.98, 1.02))
-                t1 = self.env.now
-                yield self.env.timeout(service)
-                compute_time = self.env.now - t1
-
-                t2 = self.env.now
-                yield from self.storage.put(task.output_key, task.output_size)
-                upload_time = self.env.now - t2
-
-                was_duplicate = msg.receive_count > 1
-                try:
-                    yield from self.task_queue.delete(msg)
-                except StaleReceiptError:
-                    was_duplicate = True
-
-                self._record_completion(
-                    meta, task, name, started, msg.receive_count,
-                    was_duplicate,
-                )
-                self.records.append(
-                    TaskRecord(
-                        task_id=task.task_id,
-                        worker=name,
-                        started_at=started,
-                        finished_at=self.env.now,
-                        download_time=download_time,
-                        compute_time=compute_time,
-                        upload_time=upload_time,
-                        attempt=msg.receive_count,
-                        was_duplicate=was_duplicate,
-                        won=not was_duplicate,
-                    )
-                )
-                if tracer.enabled:
-                    tid = task.task_id
-                    tracer.add(
-                        "task.queue_wait", track=name,
-                        start=wait_start, end=started, task_id=tid,
-                    )
-                    tracer.add(
-                        "task.download", track=name,
-                        start=t0, end=t0 + download_time, task_id=tid,
-                    )
-                    tracer.add(
-                        "task.compute", track=name,
-                        start=t1, end=t1 + compute_time, task_id=tid,
-                    )
-                    tracer.add(
-                        "task.upload", track=name,
-                        start=t2, end=t2 + upload_time, task_id=tid,
-                    )
-                self._set_busy(name, False)
-                wait_start = self.env.now
-        except Interrupt:
-            # Preempted/crashed (the message reappears and retries) or
-            # released by a drain.  If the interrupt landed mid-task,
-            # close the busy gauge so the pick-up is paired with a drop.
-            if name in self._busy:
-                self._set_busy(name, False)
-            return
-
-    def _record_completion(
-        self, meta, task, worker, started, receive_count, was_duplicate
-    ) -> None:
+    def _finish(self, task, msg, was_duplicate: bool) -> bool:
         """Count each job once, however many times it executed."""
+        meta = self._jobs[task.task_id]
         metrics = self.obs.metrics
         if task.task_id in self._completed:
             self.admission.duplicate(meta.tenant)
             metrics.counter("serve.duplicates").inc()
-            return
-        self._completed.add(task.task_id)
-        latency = self.env.now - meta.submitted_at
-        self.admission.complete(meta.tenant, latency)
-        metrics.counter("serve.completed").inc()
+        else:
+            self._completed.add(task.task_id)
+            latency = self.env.now - meta.submitted_at
+            self.admission.complete(meta.tenant, latency)
+            metrics.counter("serve.completed").inc()
+        return not was_duplicate
 
 
 def run_serve(config: ServeConfig) -> ServeResult:

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.classiccloud import ClassicCloudConfig, ClassicCloudFramework
+from repro.classiccloud import (
+    ClassicCloudConfig,
+    ClassicCloudFramework,
+    LocalAugmentation,
+)
 from repro.cloud.failures import FaultPlan, WorkerCrash
 from repro.core.application import get_application
 from repro.workloads.genome import cap3_task_specs
@@ -53,6 +57,36 @@ class TestConfig:
             small_config(visibility_timeout_s=-1.0)
         assert small_config(visibility_timeout_s=0.0).visibility_timeout_s == 0.0
         assert small_config().visibility_timeout_s is None
+
+    def test_negative_poll_backoff_rejected(self):
+        with pytest.raises(ValueError, match="poll_backoff_s"):
+            small_config(poll_backoff_s=-1.0)
+        assert small_config(poll_backoff_s=0.0).poll_backoff_s == 0.0
+
+    def test_crash_index_beyond_the_fleet_rejected(self):
+        # 2 x 8 workers: indices 0..15 exist, 16 does not.
+        small_config(
+            fault_plan=FaultPlan(
+                worker_crashes=[WorkerCrash(worker_index=15, at_time=1.0)]
+            )
+        )
+        with pytest.raises(ValueError, match="worker_index 16"):
+            small_config(
+                fault_plan=FaultPlan(
+                    worker_crashes=[WorkerCrash(worker_index=16, at_time=1.0)]
+                )
+            )
+
+    def test_crash_index_counts_augmentation_workers(self):
+        # Augmentation workers are spawned after the cloud fleet and
+        # share its crash index space: 16 + 4 workers, indices 0..19.
+        aug = LocalAugmentation(n_workers=4)
+        crash = FaultPlan(
+            worker_crashes=[WorkerCrash(worker_index=19, at_time=1.0)]
+        )
+        small_config(local_augmentation=aug, fault_plan=crash)
+        with pytest.raises(ValueError, match="worker_index"):
+            small_config(fault_plan=crash)
 
 
 class TestHappyPath:

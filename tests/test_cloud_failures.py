@@ -1,5 +1,7 @@
 """Edge-case tests for the legacy fault plan (repro.cloud.failures)."""
 
+import pytest
+
 from repro.classiccloud import ClassicCloudConfig, ClassicCloudFramework
 from repro.cloud.failures import FaultPlan, WorkerCrash
 from repro.core.application import get_application
@@ -50,6 +52,50 @@ class TestPlanContracts:
         assert [c.at_time for c in plan.crashes_for(1)] == [10.0, 50.0]
         assert [c.at_time for c in plan.crashes_for(0)] == [20.0]
         assert plan.crashes_for(5) == []
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "message_duplicate_probability",
+            "queue_miss_probability",
+            "storage_error_rate",
+            "straggler_probability",
+        ],
+    )
+    @pytest.mark.parametrize("value", [-0.5, 1.5])
+    def test_probabilities_outside_unit_interval_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FaultPlan(**{field: value})
+
+    def test_probability_bounds_are_inclusive(self):
+        FaultPlan(storage_error_rate=0.0, straggler_probability=1.0)
+
+    def test_straggler_slowdown_below_one_rejected(self):
+        with pytest.raises(ValueError, match="straggler_slowdown"):
+            FaultPlan(straggler_slowdown=-1.0)
+        with pytest.raises(ValueError, match="straggler_slowdown"):
+            FaultPlan(straggler_slowdown=0.5)
+        assert FaultPlan(straggler_slowdown=1.0).straggler_slowdown == 1.0
+
+    def test_negative_poison_restart_rejected(self):
+        with pytest.raises(ValueError, match="poison_restart_s"):
+            FaultPlan(poison_restart_s=-3.0)
+        assert FaultPlan(poison_restart_s=0.0).poison_restart_s == 0.0
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            (dict(worker_index=-1, at_time=5.0), "worker_index"),
+            (dict(worker_index=0, at_time=-5.0), "at_time"),
+            (
+                dict(worker_index=0, at_time=5.0, restart_after=-1.0),
+                "restart_after",
+            ),
+        ],
+    )
+    def test_negative_crash_fields_rejected(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            WorkerCrash(**kwargs)
 
     def test_empty_plan_crashes_for_any_worker(self):
         assert FaultPlan.none().crashes_for(0) == []

@@ -10,7 +10,10 @@ import json
 
 import pytest
 
+from repro.autoscale.plan import AutoscalePlan
+from repro.classiccloud import ClassicCloudConfig, ClassicCloudFramework
 from repro.cloud.failures import FaultPlan
+from repro.cloud.spot import BidStrategy, SpotMarketModel
 from repro.core.analysis import phase_breakdown
 from repro.core.application import get_application
 from repro.core.backends import make_backend
@@ -24,6 +27,7 @@ from repro.obs import (
     validate_chrome_trace,
     write_chrome_trace,
 )
+from repro.serve import ServeConfig, default_tenants, run_serve
 from repro.workloads.genome import cap3_task_specs
 
 
@@ -191,6 +195,65 @@ class TestSanitizerIntegration:
         assert all(i.domain == "sim" for i in kernel)
         document = chrome_trace(obs.tracer)
         assert validate_chrome_trace(document) == []
+
+
+def _spot_plan():
+    return AutoscalePlan(
+        min_instances=1,
+        max_instances=4,
+        bid=BidStrategy.mixed(1.0),
+        spot_market=SpotMarketModel(spike_probability=0.5, interval_s=60.0),
+    )
+
+
+def _traced_spot_serve():
+    config = ServeConfig(
+        tenants=default_tenants(),
+        n_instances=2,
+        duration_s=240.0,
+        visibility_timeout_s=60.0,
+        seed=2,
+        autoscale=_spot_plan(),
+    )
+    with observe(label="serve-spot") as obs:
+        result = run_serve(config)
+    assert result.extras["autoscale_preemptions"] > 0
+    assert result.shed > 0
+    return obs
+
+
+def _traced_spot_classic():
+    config = ClassicCloudConfig(
+        provider="aws",
+        instance_type="HCXL",
+        n_instances=2,
+        workers_per_instance=8,
+        seed=5,
+        autoscale=_spot_plan(),
+    )
+    tasks = cap3_task_specs(96, reads_per_file=400)
+    with observe(label="classic-spot") as obs:
+        result = ClassicCloudFramework(config).run(
+            get_application("cap3"), tasks
+        )
+    assert result.extras["autoscale_preemptions"] > 0
+    return obs
+
+
+class TestSimTimeInstants:
+    """Instants of simulated events carry simulated time, so a seeded
+    run exports the same trace on every repeat (a wall-clock stamp
+    would also file them under the "wall time" process)."""
+
+    @pytest.mark.parametrize(
+        "traced_run", [_traced_spot_serve, _traced_spot_classic]
+    )
+    def test_same_seed_exports_identical_trace_events(self, traced_run):
+        first, second = traced_run(), traced_run()
+        assert all(i.domain == "sim" for i in first.tracer.instants)
+        events = chrome_trace(first.tracer, first.metrics)["traceEvents"]
+        again = chrome_trace(second.tracer, second.metrics)["traceEvents"]
+        assert events == again
 
 
 class TestValidation:

@@ -7,6 +7,7 @@ import pytest
 from repro.autoscale.plan import AutoscalePlan
 from repro.cli import main
 from repro.cloud.spot import BidStrategy, SpotMarketModel
+from repro.obs import Observability, observe
 from repro.serve import (
     JobService,
     ServeConfig,
@@ -183,6 +184,35 @@ class TestPreemption:
         # Duplicate deliveries were recognised, not double-counted.
         for stats in result.tenants:
             assert stats.completed <= stats.admitted
+
+
+class TestBusyGauge:
+    def test_preemption_closes_the_busy_gauge(self):
+        # A worker preempted mid-job drops its busy mark in the
+        # Interrupt path, so the gauge returns to zero and never dips.
+        config = ServeConfig(
+            tenants=default_tenants(),
+            n_instances=2,
+            duration_s=240.0,
+            visibility_timeout_s=60.0,
+            seed=2,
+            autoscale=AutoscalePlan(
+                min_instances=1,
+                max_instances=4,
+                bid=BidStrategy.mixed(1.0),
+                spot_market=SpotMarketModel(
+                    spike_probability=0.5, interval_s=60.0
+                ),
+            ),
+        )
+        with observe(Observability.make(label="serve-busy")) as obs:
+            result = run_serve(config)
+        assert result.extras["autoscale_preemptions"] > 0
+        assert any(r.attempt > 1 for r in result.records)
+        series = obs.timeline.series("workers.busy")
+        assert series, "busy gauge never sampled"
+        assert series[-1][1] == 0
+        assert min(value for _, value in series) >= 0
 
 
 class TestEventDrivenIdle:
