@@ -34,7 +34,12 @@ from dataclasses import dataclass, field
 
 from repro.cloud.instance_types import MachineModel
 
-__all__ = ["APP_PERF_MODELS", "TaskPerfModel", "task_runtime_seconds"]
+__all__ = [
+    "APP_PERF_MODELS",
+    "TaskPerfModel",
+    "sequential_time_seconds",
+    "task_runtime_seconds",
+]
 
 
 @dataclass(frozen=True)
@@ -117,6 +122,17 @@ def task_runtime_seconds(
     mem_time = work_units * model.mem_bytes_per_unit / bandwidth_share
     return (cpu_time + mem_time) * model.paging_penalty(
         machine, concurrent_workers
+    )
+
+
+def sequential_time_seconds(
+    model: TaskPerfModel, tasks, machine: MachineModel
+) -> float:
+    """T1 of Equation 1: the tasks back to back on one uncontended worker,
+    "having the input files present in the local disks, avoiding the data
+    transfers" (no service overheads)."""
+    return sum(
+        task_runtime_seconds(model, t.work_units, machine) for t in tasks
     )
 
 

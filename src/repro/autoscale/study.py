@@ -71,6 +71,7 @@ class AutoscaleStudyRow:
 
 
 def _tasks_for(app_name: str, n_files: int) -> list[TaskSpec]:
+    """The study workload of one application (the chaos campaign's too)."""
     if app_name == "cap3":
         from repro.workloads.genome import cap3_task_specs
 

@@ -88,22 +88,6 @@ class ChaosStudyRow:
         return asdict(self)
 
 
-def _tasks_for(app_name: str, n_files: int):
-    if app_name == "cap3":
-        from repro.workloads.genome import cap3_task_specs
-
-        return cap3_task_specs(n_files, reads_per_file=400)
-    if app_name == "blast":
-        from repro.workloads.protein import blast_task_specs
-
-        return blast_task_specs(n_files, inhomogeneous_base=False, seed=3)
-    if app_name == "gtm":
-        from repro.workloads.pubchem import gtm_task_specs
-
-        return gtm_task_specs(n_files)
-    raise KeyError(f"unknown campaign application {app_name!r}")
-
-
 def chaos_study(
     apps: Sequence[str] = DEFAULT_APPS,
     intensities: Iterable[float] = DEFAULT_INTENSITIES,
@@ -124,6 +108,7 @@ def chaos_study(
     the grid itself doesn't contain one), never worker completion
     order — a determinism requirement, like every study in this repo.
     """
+    from repro.autoscale.study import _tasks_for
     from repro.core.application import get_application
     from repro.core.backends import make_backend
     from repro.sweep import point_for, run_points

@@ -237,8 +237,7 @@ class QueueFleet:
         visibility timeout.
         """
         env = self.env
-        rng = self.rng.stream(f"{name}-jitter")
-        straggle_rng = self.rng.stream(f"{name}-straggle")
+        draw = self.fault_plan.task_faults.drawer(self.rng, name, "jitter")
         retry_policy = self.retry_policy
         backoff_rng = (
             self.rng.stream(f"{name}-backoff")
@@ -328,14 +327,9 @@ class QueueFleet:
                         threads=self.threads_per_worker,
                         clock_ghz=host.effective_clock_ghz(),
                     )
-                    if (
-                        plan.straggler_probability
-                        and straggle_rng.random()
-                        < plan.straggler_probability
-                    ):
-                        service *= plan.straggler_slowdown
-                    # Small service-time noise on top of instance jitter.
-                    service *= float(rng.uniform(0.98, 1.02))
+                    # Stragglers, plus small service-time noise on top
+                    # of instance jitter.
+                    service, _ = draw(service)
                     t1 = env.now
                     yield env.timeout(service)
                     compute_time = env.now - t1

@@ -16,7 +16,10 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-from repro.apps.perfmodels import task_runtime_seconds
+from repro.apps.perfmodels import (
+    sequential_time_seconds,
+    task_runtime_seconds,
+)
 from repro.autoscale.plan import AutoscalePlan
 from repro.chaos.injectors import ChaosController
 from repro.chaos.plan import ChaosPlan
@@ -197,23 +200,9 @@ class ClassicCloudFramework:
     def estimate_sequential_time(
         self, app: Application, tasks: list[TaskSpec]
     ) -> float:
-        """T1 for Equation 1: one worker, inputs on local disk.
-
-        Uses the same machine model with a single uncontended worker and
-        no cloud service overheads, matching the paper's measurement of
-        sequential time "having the input files present in the local
-        disks, avoiding the data transfers".
-        """
-        machine = self.config.resolve_instance_type().machine
-        return sum(
-            task_runtime_seconds(
-                app.perf_model,
-                t.work_units,
-                machine,
-                concurrent_workers=1,
-                threads=1,
-            )
-            for t in tasks
+        """T1 for Equation 1 on one worker of the configured instance."""
+        return sequential_time_seconds(
+            app.perf_model, tasks, self.config.resolve_instance_type().machine
         )
 
 

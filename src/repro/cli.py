@@ -569,7 +569,7 @@ def _cmd_run(args, out) -> int:
                        title=f"{args.app} on {args.backend}"), file=out)
     if args.sanitize:
         env = getattr(
-            getattr(backend, "_framework", None), "last_environment", None
+            getattr(backend, "_simulator", None), "last_environment", None
         )
         if env is not None and hasattr(env, "sanitizer_report"):
             print(file=out)

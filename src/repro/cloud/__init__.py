@@ -33,7 +33,7 @@ from repro.cloud.deployment import (
     DeploymentStep,
     preparation_cost,
 )
-from repro.cloud.failures import FaultPlan
+from repro.cloud.failures import FaultPlan, TaskFaults
 from repro.cloud.instance_types import (
     AZURE_INSTANCE_TYPES,
     EC2_INSTANCE_TYPES,
@@ -80,6 +80,7 @@ __all__ = [
     "SpotMarketModel",
     "SpotPriceTrace",
     "StorageUnavailable",
+    "TaskFaults",
     "VmInstance",
     "get_instance_type",
 ]

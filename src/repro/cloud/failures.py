@@ -5,13 +5,66 @@ mid-task loses nothing: the task's queue message reappears after the
 visibility timeout and another worker re-executes it, idempotently.  A
 :class:`FaultPlan` lets tests and ablation benches schedule exactly such
 crashes, plus storage/message-level misbehaviour.
+
+:class:`TaskFaults` is the per-attempt straggler, noise and failure draw
+that Classic Cloud, Hadoop and DryadLINQ share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["FaultPlan", "WorkerCrash"]
+from repro.sim.rng import RngRegistry
+
+__all__ = ["FaultPlan", "TaskFaults", "WorkerCrash"]
+
+
+@dataclass(frozen=True)
+class TaskFaults:
+    """Per-attempt service-time faults of one run.
+
+    Each attempt straggles (``straggler_slowdown`` times slower) with
+    ``straggler_probability``, takes a uniform 0.98-1.02 noise factor,
+    then dies 10-90 % into its compute with ``failure_probability``.
+    """
+
+    straggler_probability: float = 0.0
+    straggler_slowdown: float = 5.0
+    failure_probability: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.straggler_probability <= 1.0:
+            raise ValueError("straggler_probability must be in [0, 1]")
+        if not self.straggler_slowdown >= 1.0:
+            raise ValueError("straggler_slowdown must be >= 1")
+        if not 0.0 <= self.failure_probability < 1.0:
+            raise ValueError("failure_probability must be in [0, 1)")
+
+    def drawer(self, rng: RngRegistry, name: str, noise: str = "noise"):
+        """Worker ``name``'s ``draw(service, backup=False)``.
+
+        The draw returns ``(service, fail_at)``: the attempt's compute
+        seconds and how far into them it fails (None: it succeeds).  It
+        takes one draw per attempt from each of ``{name}-straggle``,
+        ``{name}-{noise}`` and ``{name}-fail``; a zero probability draws
+        nothing, and ``{name}-fail`` exists only when failures are on.
+        A backup copy consumes its straggle draw but never straggles.
+        """
+        p_straggle = self.straggler_probability
+        p_fail = self.failure_probability
+        straggle = rng.stream(f"{name}-straggle")
+        jitter = rng.stream(f"{name}-{noise}")
+        fail = rng.stream(f"{name}-fail") if p_fail else None
+
+        def draw(service: float, backup: bool = False):
+            if p_straggle and straggle.random() < p_straggle and not backup:
+                service *= self.straggler_slowdown
+            service *= float(jitter.uniform(0.98, 1.02))
+            if fail is not None and fail.random() < p_fail:
+                return service, service * float(fail.uniform(0.1, 0.9))
+            return service, None
+
+        return draw
 
 
 @dataclass(frozen=True)
@@ -66,14 +119,17 @@ class FaultPlan:
             "message_duplicate_probability",
             "queue_miss_probability",
             "storage_error_rate",
-            "straggler_probability",
         ):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.straggler_slowdown < 1.0:
-            raise ValueError("straggler_slowdown must be >= 1")
+        self.task_faults  # validates the straggler fields
         if self.poison_restart_s < 0:
             raise ValueError("poison_restart_s must be non-negative")
+
+    @property
+    def task_faults(self) -> TaskFaults:
+        """Stragglers only: a Classic Cloud task fails by crash or poison."""
+        return TaskFaults(self.straggler_probability, self.straggler_slowdown)
 
     def crashes_for(self, worker_index: int) -> list[WorkerCrash]:
         """Crashes scheduled against one worker, in time order."""

@@ -45,8 +45,20 @@ class Backend(Protocol):
     ) -> float: ...
 
 
+class _Simulated:
+    """``run`` and T1 of a backend that wraps one simulator."""
+
+    def run(self, app: Application, tasks: list[TaskSpec]) -> RunResult:
+        return self._simulator.run(app, tasks)
+
+    def estimate_sequential_time(
+        self, app: Application, tasks: list[TaskSpec]
+    ) -> float:
+        return self._simulator.estimate_sequential_time(app, tasks)
+
+
 @dataclass
-class ClassicCloudBackend:
+class ClassicCloudBackend(_Simulated):
     """EC2 or Azure Classic Cloud (simulated)."""
 
     config: ClassicCloudConfig
@@ -54,23 +66,15 @@ class ClassicCloudBackend:
 
     def __post_init__(self) -> None:
         self.name = f"classiccloud-{self.config.provider}"
-        self._framework = ClassicCloudFramework(self.config)
+        self._simulator = ClassicCloudFramework(self.config)
 
     @property
     def total_cores(self) -> int:
         return self.config.total_cores
 
-    def run(self, app: Application, tasks: list[TaskSpec]) -> RunResult:
-        return self._framework.run(app, tasks)
-
-    def estimate_sequential_time(
-        self, app: Application, tasks: list[TaskSpec]
-    ) -> float:
-        return self._framework.estimate_sequential_time(app, tasks)
-
 
 @dataclass
-class HadoopBackend:
+class HadoopBackend(_Simulated):
     """Hadoop map-only job on a bare-metal cluster (simulated)."""
 
     config: HadoopJobConfig
@@ -83,17 +87,9 @@ class HadoopBackend:
     def total_cores(self) -> int:
         return self.config.total_slots
 
-    def run(self, app: Application, tasks: list[TaskSpec]) -> RunResult:
-        return self._simulator.run(app, tasks)
-
-    def estimate_sequential_time(
-        self, app: Application, tasks: list[TaskSpec]
-    ) -> float:
-        return self._simulator.estimate_sequential_time(app, tasks)
-
 
 @dataclass
-class DryadLinqBackend:
+class DryadLinqBackend(_Simulated):
     """DryadLINQ Select on a Windows HPC cluster (simulated)."""
 
     config: DryadLinqConfig
@@ -105,14 +101,6 @@ class DryadLinqBackend:
     @property
     def total_cores(self) -> int:
         return self.config.total_cores
-
-    def run(self, app: Application, tasks: list[TaskSpec]) -> RunResult:
-        return self._simulator.run(app, tasks)
-
-    def estimate_sequential_time(
-        self, app: Application, tasks: list[TaskSpec]
-    ) -> float:
-        return self._simulator.estimate_sequential_time(app, tasks)
 
 
 @dataclass

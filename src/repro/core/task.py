@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["TaskRecord", "TaskSpec"]
+__all__ = ["TaskRecord", "TaskSpec", "book_attempt"]
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,26 @@ class TaskRecord:
     @property
     def elapsed(self) -> float:
         return self.finished_at - self.started_at
+
+
+def book_attempt(records, tracer, record: TaskRecord, **compute_args) -> None:
+    """Book a finished Hadoop or Dryad attempt: append ``record`` and,
+    when tracing, its back-to-back download, compute (annotated with
+    ``compute_args``) and upload spans on the worker's track."""
+    records.append(record)
+    if tracer.enabled:
+        tid = record.task_id
+        read_end = record.started_at + record.download_time
+        compute_end = read_end + record.compute_time
+        for span, start, end, args in (
+            ("task.download", record.started_at, read_end, {}),
+            ("task.compute", read_end, compute_end, compute_args),
+            ("task.upload", compute_end, record.finished_at, {}),
+        ):
+            tracer.add(
+                span, track=record.worker, start=start, end=end,
+                task_id=tid, **args,
+            )
 
 
 @dataclass

@@ -16,10 +16,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.apps.executables import Executable
-from repro.apps.perfmodels import task_runtime_seconds
+from repro.apps.perfmodels import (
+    sequential_time_seconds,
+    task_runtime_seconds,
+)
+from repro.cloud.failures import TaskFaults
 from repro.cluster.spec import ClusterSpec
 from repro.core.application import Application
-from repro.core.task import RunResult, TaskRecord, TaskSpec
+from repro.core.task import RunResult, TaskRecord, TaskSpec, book_attempt
 from repro.dryad.graph import DryadGraph, Vertex
 from repro.dryad.partitions import PartitionSet, partition_tasks
 from repro.obs.context import current as _current_obs
@@ -84,6 +88,17 @@ class DryadLinqConfig:
             raise ValueError("workers_per_node must be >= 1")
         if self.slots_per_node > self.cluster.node.machine.cores:
             raise ValueError("workers_per_node exceeds node cores")
+        self.task_faults  # validates the straggler and failure fields
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+
+    @property
+    def task_faults(self) -> TaskFaults:
+        return TaskFaults(
+            self.straggler_probability,
+            self.straggler_slowdown,
+            self.vertex_failure_probability,
+        )
 
     @property
     def slots_per_node(self) -> int:
@@ -113,12 +128,8 @@ class DryadLinqSimulator:
         self, app: Application, tasks: list[TaskSpec]
     ) -> float:
         """T1: one uncontended worker, data on the local shared dir."""
-        machine = self.config.cluster.node.machine
-        return sum(
-            task_runtime_seconds(
-                app.perf_model, t.work_units, machine, concurrent_workers=1
-            )
-            for t in tasks
+        return sequential_time_seconds(
+            app.perf_model, tasks, self.config.cluster.node.machine
         )
 
 
@@ -205,9 +216,7 @@ class _DryadRun:
     def _node_worker(self, queue: list[TaskSpec], node: int, name: str):
         config = self.config
         machine = config.cluster.node.machine
-        fail_rng = self.rng.stream(f"{name}-fail")
-        straggle_rng = self.rng.stream(f"{name}-straggle")
-        noise_rng = self.rng.stream(f"{name}-noise")
+        draw = config.task_faults.drawer(self.rng, name)
         disk_bps = machine.disk_mbps * 1e6
         while queue:
             task = queue.pop(0)
@@ -216,26 +225,15 @@ class _DryadRun:
                 attempts += 1
                 started = self.env.now
                 read_time = task.input_size / disk_bps
-                service = task_runtime_seconds(
-                    self.app.perf_model,
-                    task.work_units,
-                    machine,
-                    concurrent_workers=config.slots_per_node,
-                )
-                if (
-                    config.straggler_probability
-                    and straggle_rng.random() < config.straggler_probability
-                ):
-                    service *= config.straggler_slowdown
-                service *= float(noise_rng.uniform(0.98, 1.02))
-                write_time = task.output_size / disk_bps
-                if (
-                    config.vertex_failure_probability
-                    and fail_rng.random() < config.vertex_failure_probability
-                ):
-                    yield self.env.timeout(
-                        read_time + service * float(fail_rng.uniform(0.1, 0.9))
+                service, fail_at = draw(
+                    task_runtime_seconds(
+                        self.app.perf_model, task.work_units, machine,
+                        concurrent_workers=config.slots_per_node,
                     )
+                )
+                write_time = task.output_size / disk_bps
+                if fail_at is not None:
+                    yield self.env.timeout(read_time + fail_at)
                     if attempts >= config.max_attempts:
                         raise RuntimeError(
                             f"task {task.task_id} failed {attempts} attempts"
@@ -250,24 +248,9 @@ class _DryadRun:
                         self.env.now,
                         len(self.completed),
                     )
-                if self.tracer.enabled:
-                    tid = task.task_id
-                    self.tracer.add(
-                        "task.download", track=name,
-                        start=started, end=started + read_time, task_id=tid,
-                    )
-                    self.tracer.add(
-                        "task.compute", track=name,
-                        start=started + read_time,
-                        end=started + read_time + service,
-                        task_id=tid,
-                    )
-                    self.tracer.add(
-                        "task.upload", track=name,
-                        start=started + read_time + service,
-                        end=self.env.now, task_id=tid,
-                    )
-                self.records.append(
+                book_attempt(
+                    self.records,
+                    self.tracer,
                     TaskRecord(
                         task_id=task.task_id,
                         worker=name,
@@ -277,7 +260,7 @@ class _DryadRun:
                         compute_time=service,
                         upload_time=write_time,
                         attempt=attempts,
-                    )
+                    ),
                 )
                 break
 

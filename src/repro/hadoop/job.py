@@ -23,10 +23,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.apps.executables import Executable
-from repro.apps.perfmodels import task_runtime_seconds
+from repro.apps.perfmodels import (
+    sequential_time_seconds,
+    task_runtime_seconds,
+)
+from repro.cloud.failures import TaskFaults
 from repro.cluster.spec import ClusterSpec
 from repro.core.application import Application
-from repro.core.task import RunResult, TaskRecord, TaskSpec
+from repro.core.task import RunResult, TaskRecord, TaskSpec, book_attempt
 from repro.hadoop.hdfs import HdfsClient
 from repro.hadoop.inputformat import FileNameInputFormat
 from repro.obs.context import current as _current_obs
@@ -69,10 +73,17 @@ class HadoopJobConfig:
                 f"{slots} slots exceed the node's "
                 f"{self.cluster.node.machine.cores} cores"
             )
-        if not 0 <= self.task_failure_probability < 1:
-            raise ValueError("task_failure_probability must be in [0, 1)")
+        self.task_faults  # validates the straggler and failure fields
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
+
+    @property
+    def task_faults(self) -> TaskFaults:
+        return TaskFaults(
+            self.straggler_probability,
+            self.straggler_slowdown,
+            self.task_failure_probability,
+        )
 
     @property
     def slots_per_node(self) -> int:
@@ -100,12 +111,8 @@ class HadoopSimulator:
         self, app: Application, tasks: list[TaskSpec]
     ) -> float:
         """T1: one uncontended slot, inputs on local disk."""
-        machine = self.config.cluster.node.machine
-        return sum(
-            task_runtime_seconds(
-                app.perf_model, t.work_units, machine, concurrent_workers=1
-            )
-            for t in tasks
+        return sequential_time_seconds(
+            app.perf_model, tasks, self.config.cluster.node.machine
         )
 
 
@@ -236,9 +243,7 @@ class _HadoopRun:
     def _slot(self, node: int, name: str):
         config = self.config
         machine = config.cluster.node.machine
-        fail_rng = self.rng.stream(f"{name}-fail")
-        straggle_rng = self.rng.stream(f"{name}-straggle")
-        noise_rng = self.rng.stream(f"{name}-noise")
+        draw = config.task_faults.drawer(self.rng, name)
         while len(self.completed) < len(self.tasks):
             assignment = self._next_assignment(node)
             if assignment is None:
@@ -263,19 +268,13 @@ class _HadoopRun:
             attempt_no = self.attempts_used[task.task_id]
 
             read_time = self.hdfs.read_seconds(task.input_key, node)
-            service = task_runtime_seconds(
-                self.app.perf_model,
-                task.work_units,
-                machine,
-                concurrent_workers=config.slots_per_node,
+            service, fail_at = draw(
+                task_runtime_seconds(
+                    self.app.perf_model, task.work_units, machine,
+                    concurrent_workers=config.slots_per_node,
+                ),
+                backup=speculative,
             )
-            if (
-                config.straggler_probability
-                and straggle_rng.random() < config.straggler_probability
-                and not speculative
-            ):
-                service *= config.straggler_slowdown
-            service *= float(noise_rng.uniform(0.98, 1.02))
             write_time = self.hdfs.write_seconds(task.output_size)
             total = read_time + service + write_time
 
@@ -289,15 +288,9 @@ class _HadoopRun:
             self.running.setdefault(task.task_id, []).append(info)
             self._sample_running()
 
-            fails = (
-                config.task_failure_probability
-                and fail_rng.random() < config.task_failure_probability
-            )
-            if fails:
+            if fail_at is not None:
                 # Die partway through the compute phase; re-queue.
-                yield self.env.timeout(
-                    read_time + service * float(fail_rng.uniform(0.1, 0.9))
-                )
+                yield self.env.timeout(read_time + fail_at)
                 self._attempt_over(task, info)
                 if task.task_id not in self.completed:
                     if self.attempts_used[task.task_id] >= config.max_attempts:
@@ -313,24 +306,9 @@ class _HadoopRun:
             if won:
                 self.completed.add(task.task_id)
             self._attempt_over(task, info)
-            if self.tracer.enabled:
-                tid = task.task_id
-                self.tracer.add(
-                    "task.download", track=name,
-                    start=started, end=started + read_time, task_id=tid,
-                )
-                self.tracer.add(
-                    "task.compute", track=name,
-                    start=started + read_time,
-                    end=started + read_time + service,
-                    task_id=tid, speculative=speculative,
-                )
-                self.tracer.add(
-                    "task.upload", track=name,
-                    start=started + read_time + service,
-                    end=started + total, task_id=tid,
-                )
-            self.records.append(
+            book_attempt(
+                self.records,
+                self.tracer,
                 TaskRecord(
                     task_id=task.task_id,
                     worker=name,
@@ -343,7 +321,8 @@ class _HadoopRun:
                     was_duplicate=not won,
                     speculative=speculative,
                     won=won,
-                )
+                ),
+                speculative=speculative,
             )
             if len(self.completed) == len(self.tasks) and not self.done.triggered:
                 self.done.succeed(self.env.now)

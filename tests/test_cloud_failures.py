@@ -1,10 +1,11 @@
-"""Edge-case tests for the legacy fault plan (repro.cloud.failures)."""
+"""Edge-case tests for the fault plans (repro.cloud.failures)."""
 
 import pytest
 
 from repro.classiccloud import ClassicCloudConfig, ClassicCloudFramework
-from repro.cloud.failures import FaultPlan, WorkerCrash
+from repro.cloud.failures import FaultPlan, TaskFaults, WorkerCrash
 from repro.core.application import get_application
+from repro.sim.rng import RngRegistry
 from repro.workloads.genome import cap3_task_specs
 
 
@@ -99,6 +100,72 @@ class TestPlanContracts:
 
     def test_empty_plan_crashes_for_any_worker(self):
         assert FaultPlan.none().crashes_for(0) == []
+
+
+class TestTaskFaults:
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            (dict(straggler_probability=-0.1), "straggler_probability"),
+            (dict(straggler_probability=1.5), "straggler_probability"),
+            (dict(straggler_slowdown=0.5), "straggler_slowdown"),
+            (dict(straggler_slowdown=float("nan")), "straggler_slowdown"),
+            (dict(failure_probability=-0.1), "failure_probability"),
+            (dict(failure_probability=1.0), "failure_probability"),
+        ],
+    )
+    def test_out_of_range_fields_rejected(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            TaskFaults(**kwargs)
+
+    def test_bounds(self):
+        TaskFaults(straggler_probability=1.0, straggler_slowdown=1.0)
+        TaskFaults(failure_probability=0.999)
+
+    def test_fault_free_draw_is_noise_only(self):
+        rng = RngRegistry(3)
+        draw = TaskFaults().drawer(rng, "w", "jitter")
+        service, fail_at = draw(10.0)
+        expected = 10.0 * float(
+            RngRegistry(3).stream("w-jitter").uniform(0.98, 1.02)
+        )
+        assert (service, fail_at) == (expected, None)
+        # A zero probability draws nothing and creates no stream.
+        assert "w-fail" not in rng._streams
+        fresh = RngRegistry(3).stream("w-straggle").bit_generator.state
+        assert rng.stream("w-straggle").bit_generator.state == fresh
+
+    def test_draws_follow_each_stream_in_order(self):
+        faults = TaskFaults(0.5, 4.0, 0.5)
+        draw = faults.drawer(RngRegistry(9), "slot")
+        ref = RngRegistry(9)
+        straggle, noise, fail = (
+            ref.stream(f"slot-{s}") for s in ("straggle", "noise", "fail")
+        )
+        for _ in range(50):
+            service = 2.0
+            if straggle.random() < 0.5:
+                service *= 4.0
+            service *= float(noise.uniform(0.98, 1.02))
+            fail_at = None
+            if fail.random() < 0.5:
+                fail_at = service * float(fail.uniform(0.1, 0.9))
+            assert draw(2.0) == (service, fail_at)
+
+    def test_backup_consumes_its_straggle_draw_but_never_straggles(self):
+        faults = TaskFaults(straggler_probability=1.0, straggler_slowdown=9.0)
+        draw = faults.drawer(RngRegistry(1), "slot")
+        backup, _ = draw(1.0, backup=True)
+        primary, _ = draw(1.0)
+        assert 0.98 <= backup <= 1.02
+        assert 9.0 * 0.98 <= primary <= 9.0 * 1.02
+        replay = faults.drawer(RngRegistry(1), "slot")
+        replay(1.0)  # the straggle stream advanced once for the backup
+        assert replay(1.0) == (primary, None)
+
+    def test_plan_builds_stragglers_without_failures(self):
+        plan = FaultPlan(straggler_probability=0.3, straggler_slowdown=8.0)
+        assert plan.task_faults == TaskFaults(0.3, 8.0, 0.0)
 
 
 class TestEdgeCaseRuns:

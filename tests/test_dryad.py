@@ -195,6 +195,18 @@ class TestDryadSimulator:
             dryad_config(workers_per_node=0)
         with pytest.raises(ValueError):
             dryad_config(workers_per_node=99)
+        for bad in (-0.2, 1.0):
+            with pytest.raises(ValueError, match="failure_probability"):
+                dryad_config(vertex_failure_probability=bad)
+        for bad in (-0.1, 3.0):
+            with pytest.raises(ValueError, match="straggler_probability"):
+                dryad_config(straggler_probability=bad)
+        # -2.0 used to die mid-run on a negative timeout delay.
+        for bad in (0.01, -2.0):
+            with pytest.raises(ValueError, match="straggler_slowdown"):
+                dryad_config(straggler_probability=0.5, straggler_slowdown=bad)
+        with pytest.raises(ValueError, match="max_attempts"):
+            dryad_config(max_attempts=0)
 
 
 class TestLocalDryad:

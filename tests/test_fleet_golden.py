@@ -1,20 +1,22 @@
-"""Byte-identity goldens for the simulated queue-worker fleets.
+"""Byte-identity goldens for the simulated backends.
 
-Eleven seeded scenarios — eight Classic Cloud batch runs (40 Cap3
-files on HCXL 2 x 8, seed 13) and three job-service runs — each reduce
-to one SHA-256 over everything the run observably produced:
+Fourteen seeded scenarios — eight Classic Cloud batch runs (40 Cap3
+files on HCXL 2 x 8, seed 13), three job-service runs, two Hadoop runs
+and one DryadLINQ run (40 Cap3 files on 4 bare-metal nodes) — each
+reduce to one SHA-256 over everything the run observably produced:
 
-* the sanitizer's kernel event trace (``env.trace_text()``) and
-  ``env.events_scheduled``;
+* for the queue-worker fleets, the sanitizer's kernel event trace
+  (``env.trace_text()``) and ``env.events_scheduled``;
 * every :class:`~repro.core.task.TaskRecord`;
-* the batch result's extras, billing, completed and failed sets, or
-  the service result's ``to_dict()``;
+* the batch result's makespan, extras, billing, completed and failed
+  sets, or the service result's ``to_dict()``;
 * the exported Chrome ``traceEvents`` (spans, instants, timeline
   counters) of the run under :func:`repro.obs.observe`.
 
-Any change to the worker loop that reorders a process, moves an RNG
-draw, adds a kernel event or a timeline sample fails here, which the
-same-commit determinism tests (two runs of one build) cannot catch.
+Any change to a worker loop or a per-task fault draw that reorders a
+process, moves an RNG draw, adds a kernel event or a timeline sample
+fails here, which the same-commit determinism tests (two runs of one
+build) cannot catch.
 
 Regenerate (only on a deliberate behaviour change) with::
 
@@ -24,6 +26,8 @@ Regenerate (only on a deliberate behaviour change) with::
 import dataclasses
 import hashlib
 import json
+import os
+from unittest import mock
 
 import pytest
 
@@ -36,7 +40,10 @@ from repro.classiccloud import (
 )
 from repro.cloud.failures import FaultPlan, WorkerCrash
 from repro.cloud.spot import BidStrategy, SpotMarketModel
+from repro.cluster import get_cluster
 from repro.core.application import get_application
+from repro.dryad import DryadLinqConfig, DryadLinqSimulator
+from repro.hadoop import HadoopJobConfig, HadoopSimulator
 from repro.obs import Observability, chrome_trace, observe
 from repro.serve import JobService, ServeConfig, default_tenants
 from repro.workloads.genome import cap3_task_specs
@@ -53,6 +60,9 @@ GOLDEN = {
     "serve_static": "0372e15a7c9d38377b9d3a74b416f551850b83b3edd47490854315b4aac48b0d",
     "serve_spot_preempted": "cd1e2422fc4d544aca2e6aad15b55949d06bde60dd57515885b7a31564a56e00",
     "serve_drain": "7618f1b648ba09abd85dffb2d31256242b1335727a10b80fad23458ad1ca659f",
+    "hadoop_faults_speculation": "b672b5d90a9d5a44f913cc82d95badcf8fe1400aef866c930e17e0589bf6dcca",
+    "hadoop_stragglers_no_speculation": "9b36bfb54cadc953933a84ea53894717b7ebf4489e04c9f6cce03381205616f1",
+    "dryad_failures_stragglers": "e5efe8484f3a33ca2d2403840c981811e09d8e00491b8d0d0a1352903124c240",
 }
 
 SPIKY_MARKET = SpotMarketModel(spike_probability=0.5, interval_s=60.0)
@@ -126,6 +136,51 @@ def _serve(**overrides):
         result.to_dict(),
         _trace_events(obs),
     ]
+
+
+def _cluster_run(simulator, cluster_name, **settings):
+    """A Hadoop or DryadLINQ run of 40 Cap3 files on 4 nodes.
+
+    These backends take the sanitizer from ``REPRO_SANITIZE`` only, so
+    it is pinned on: the kernel's call instants land in the Chrome
+    trace, and the digest is the same with or without
+    ``--repro-sanitize``.
+    """
+    tasks = cap3_task_specs(40, reads_per_file=200)
+    cluster = get_cluster(cluster_name).subset(4)
+    with mock.patch.dict(os.environ, {"REPRO_SANITIZE": "1"}), observe(
+        Observability.make(label="golden")
+    ) as obs:
+        result = simulator(cluster, settings).run(
+            get_application("cap3"), tasks
+        )
+    return [
+        result.makespan_seconds,
+        result.records,
+        result.extras,
+        result.completed,
+        _trace_events(obs),
+    ]
+
+
+def _hadoop(**settings):
+    return _cluster_run(
+        lambda cluster, s: HadoopSimulator(
+            HadoopJobConfig(cluster=cluster, seed=5, **s)
+        ),
+        "cap3-baremetal",
+        **settings,
+    )
+
+
+def _dryad(**settings):
+    return _cluster_run(
+        lambda cluster, s: DryadLinqSimulator(
+            DryadLinqConfig(cluster=cluster, seed=11, **s)
+        ),
+        "cap3-baremetal-windows",
+        **settings,
+    )
 
 
 SCENARIOS = {
@@ -205,6 +260,21 @@ SCENARIOS = {
         duration_s=300.0,
         seed=3,
         autoscale=AutoscalePlan(min_instances=1, max_instances=4),
+    ),
+    "hadoop_faults_speculation": lambda: _hadoop(
+        task_failure_probability=0.15,
+        straggler_probability=0.2,
+        straggler_slowdown=8.0,
+    ),
+    "hadoop_stragglers_no_speculation": lambda: _hadoop(
+        straggler_probability=0.3,
+        straggler_slowdown=6.0,
+        speculative_execution=False,
+    ),
+    "dryad_failures_stragglers": lambda: _dryad(
+        vertex_failure_probability=0.15,
+        straggler_probability=0.2,
+        straggler_slowdown=8.0,
     ),
 }
 

@@ -220,6 +220,19 @@ class TestHadoopSimulator:
             hadoop_config(task_failure_probability=1.0)
         with pytest.raises(ValueError):
             hadoop_config(max_attempts=0)
+        with pytest.raises(ValueError, match="failure_probability"):
+            hadoop_config(task_failure_probability=-0.1)
+        for bad in (-0.2, 1.5):
+            with pytest.raises(ValueError, match="straggler_probability"):
+                hadoop_config(straggler_probability=bad)
+        # A slowdown below 1 would turn every "straggler" into a faster
+        # task (0.01: a 100x speed-up on every attempt).
+        for bad in (0.01, -2.0, float("nan")):
+            with pytest.raises(ValueError, match="straggler_slowdown"):
+                hadoop_config(
+                    straggler_probability=1.0, straggler_slowdown=bad
+                )
+        assert hadoop_config(straggler_slowdown=1.0).straggler_slowdown == 1.0
 
     def test_gtm_cluster_uses_8_of_24_slots(self):
         config = HadoopJobConfig(cluster=get_cluster("gtm-hadoop"))
