@@ -116,13 +116,18 @@ class DryadLinqSimulator:
 
     def __init__(self, config: DryadLinqConfig):
         self.config = config
+        #: The event loop of the most recent run (see
+        #: ``ClassicCloudFramework.last_environment``).
+        self.last_environment = None
 
     def run(self, app: Application, tasks: list[TaskSpec]) -> RunResult:
         if not tasks:
             raise ValueError("no tasks to run")
         table = DryadTable.from_tasks(tasks, self.config.cluster.n_nodes)
         graph = table.select(operation_name=app.name)
-        return _DryadRun(self.config, app, tasks, table, graph).execute()
+        run = _DryadRun(self.config, app, tasks, table, graph)
+        self.last_environment = run.env
+        return run.execute()
 
     def estimate_sequential_time(
         self, app: Application, tasks: list[TaskSpec]

@@ -101,11 +101,16 @@ class HadoopSimulator:
 
     def __init__(self, config: HadoopJobConfig):
         self.config = config
+        #: The event loop of the most recent run (see
+        #: ``ClassicCloudFramework.last_environment``).
+        self.last_environment = None
 
     def run(self, app: Application, tasks: list[TaskSpec]) -> RunResult:
         if not tasks:
             raise ValueError("no tasks to run")
-        return _HadoopRun(self.config, app, tasks).execute()
+        run = _HadoopRun(self.config, app, tasks)
+        self.last_environment = run.env
+        return run.execute()
 
     def estimate_sequential_time(
         self, app: Application, tasks: list[TaskSpec]

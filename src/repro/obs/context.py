@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.timeline import NULL_TIMELINE, Timeline
-from repro.obs.tracer import NULL_TRACER, Instant, Span, Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = [
     "Observability",
@@ -52,13 +52,15 @@ class WorkerCapture:
     ``os_pid`` is the worker's real OS pid; the exporter assigns it a
     synthetic Chrome trace pid (one per process × time domain).  All
     fields are plain data — this is exactly what crossed the pickle
-    boundary.
+    boundary.  ``spans`` and ``instants`` are the worker tracer's rows
+    (see :meth:`~repro.obs.tracer.Tracer.rows`) and ``timeline`` its
+    :meth:`~repro.obs.timeline.Timeline.columns`.
     """
 
     os_pid: int
     label: str
-    spans: list[Span] = field(default_factory=list)
-    instants: list[Instant] = field(default_factory=list)
+    spans: list[tuple] = field(default_factory=list)
+    instants: list[tuple] = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
     timeline: dict = field(default_factory=dict)
 
@@ -114,14 +116,14 @@ def worker_payload(obs: Observability, label: str = "") -> dict:
     Shipped back with each chunk result; the parent re-hydrates it via
     :meth:`Observability.adopt_worker`.
     """
-    spans, instants = obs.tracer.snapshot()
+    spans, instants = obs.tracer.rows()
     return {
         "os_pid": os.getpid(),
         "label": label or obs.tracer.label,
         "spans": spans,
         "instants": instants,
         "metrics": obs.metrics.snapshot(),
-        "timeline": obs.timeline.snapshot(),
+        "timeline": obs.timeline.columns(),
     }
 
 

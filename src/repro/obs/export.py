@@ -57,8 +57,9 @@ _WORKER_PID_BASE = 10
 TASK_PHASES = ("task.queue_wait", "task.download", "task.compute", "task.upload")
 
 
-def _category(name: str) -> str:
-    return name.split(".", 1)[0]
+def _meta(kind: str, pid: int, tid: int, name: str) -> dict:
+    """A ``process_name`` / ``thread_name`` metadata event."""
+    return {"name": kind, "ph": "M", "pid": pid, "tid": tid, "args": {"name": name}}
 
 
 def chrome_trace(
@@ -70,60 +71,107 @@ def chrome_trace(
 ) -> dict:
     """Render a tracer (plus registry / timeline / worker captures) as
     one merged Chrome trace document."""
-    events: list[dict] = []
+    events: list[dict] = [
+        _meta("process_name", pid, 0, _DOMAIN_NAMES[domain])
+        for domain, pid in sorted(_DOMAIN_PIDS.items())
+    ]
     tids: dict[tuple[int, str], int] = {}
+    categories: dict[str, str] = {}
+    next_pid = _WORKER_PID_BASE
+    worker_index: dict[int, dict] = {}
+    counter_events = 0
 
-    def tid_for(pid: int, track: str) -> int:
-        key = (pid, track)
-        tid = tids.get(key)
-        if tid is None:
-            tid = tids[key] = len(tids) + 1
+    # One source per record stream, the parent first, then each worker
+    # capture: (os_pid, domain -> pid table, track prefix, extra args,
+    # span rows, instant rows, timeline columns).
+    spans, instants = tracer.rows()
+    series = timeline.columns() if timeline is not None else {}
+    sources = [(None, _DOMAIN_PIDS, "", {}, spans, instants, series)]
+    for capture in workers:
+        os_pid, label = capture.os_pid, capture.label
+        entry = worker_index.setdefault(os_pid, {
+            "os_pid": os_pid, "pids": {}, "points": [], "spans": 0, "instants": 0,
+        })
+        if label:
+            entry["points"].append(label)
+        entry["spans"] += len(capture.spans)
+        entry["instants"] += len(capture.instants)
+        # Prefix tracks with the point label: points in one worker
+        # process each start at sim time zero, so sharing rows would
+        # stack unrelated spans on top of each other.
+        sources.append((
+            os_pid, entry["pids"], f"{label} · " if label else "",
+            {"point": label} if label else {},
+            capture.spans, capture.instants, capture.timeline,
+        ))
+
+    def pid_for(os_pid: "int | None", pids: dict, domain: str) -> int:
+        """A source's pid for ``domain``; a worker's first use of a
+        domain allocates one and names it."""
+        nonlocal next_pid
+        pid = pids.get(domain)
+        if pid is None and os_pid is not None:
+            pid = pids[domain] = next_pid
+            next_pid += 1
+            events.append(_meta("process_name", pid, 0, f"worker {os_pid} "
+                                f"({_DOMAIN_NAMES.get(domain, domain)})"))
+        return pid or 0
+
+    def locate(located, os_pid, pids, prefix, domain, track) -> tuple:
+        """(pid, tid) of a source's track, cached in ``located``; a new
+        track is named by a ``thread_name`` event."""
+        pid = pid_for(os_pid, pids, domain)
+        key = (pid, prefix + track)
+        if key not in tids:
+            tids[key] = len(tids) + 1
+            events.append(_meta("thread_name", pid, tids[key], key[1]))
+        found = located[domain, track] = (pid, tids[key])
+        return found
+
+    for os_pid, pids, prefix, extra, spans, instants, series in sources:
+        located: dict[tuple[str, str], tuple[int, int]] = {}
+        for name, track, start, end, domain, args in spans:
+            pid, tid = located.get((domain, track)) or locate(
+                located, os_pid, pids, prefix, domain, track
+            )
             events.append(
                 {
-                    "name": "thread_name",
-                    "ph": "M",
+                    "name": name,
+                    "cat": categories.get(name)
+                    or categories.setdefault(name, name.split(".", 1)[0]),
+                    "ph": "X",
+                    "ts": start * 1e6,
+                    "dur": (end - start) * 1e6,
                     "pid": pid,
                     "tid": tid,
-                    "args": {"name": track},
+                    "args": args | extra,
                 }
             )
-        return tid
-
-    def emit_span(span, pid: int, track: str, extra_args: dict) -> None:
-        events.append(
-            {
-                "name": span.name,
-                "cat": _category(span.name),
-                "ph": "X",
-                "ts": span.start * 1e6,
-                "dur": span.duration * 1e6,
-                "pid": pid,
-                "tid": tid_for(pid, track),
-                "args": {**span.args, **extra_args},
-            }
-        )
-
-    def emit_instant(instant, pid: int, track: str, extra_args: dict) -> None:
-        events.append(
-            {
-                "name": instant.name,
-                "cat": _category(instant.name),
-                "ph": "i",
-                "s": "t",  # thread-scoped
-                "ts": instant.ts * 1e6,
-                "pid": pid,
-                "tid": tid_for(pid, track),
-                "args": {**instant.args, **extra_args},
-            }
-        )
-
-    def emit_counters(series_map: dict, pid: int) -> int:
-        emitted = 0
-        for series in sorted(series_map):
-            for ts, value in series_map[series]:
-                events.append(
+        for name, track, ts, domain, args in instants:
+            pid, tid = located.get((domain, track)) or locate(
+                located, os_pid, pids, prefix, domain, track
+            )
+            events.append(
+                {
+                    "name": name,
+                    "cat": categories.get(name)
+                    or categories.setdefault(name, name.split(".", 1)[0]),
+                    "ph": "i",
+                    "s": "t",  # thread-scoped
+                    "ts": ts * 1e6,
+                    "pid": pid,
+                    "tid": tid,
+                    "args": args | extra,
+                }
+            )
+        if series:
+            pid = pid_for(os_pid, pids, "sim")
+            for name in sorted(series):
+                counter = prefix + name
+                times, values = series[name]
+                events.extend([
                     {
-                        "name": series,
+                        "name": counter,
                         "cat": "timeline",
                         "ph": "C",
                         "ts": ts * 1e6,
@@ -131,88 +179,9 @@ def chrome_trace(
                         "tid": 0,
                         "args": {"value": value},
                     }
-                )
-                emitted += 1
-        return emitted
-
-    for domain, pid in sorted(_DOMAIN_PIDS.items()):
-        events.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": _DOMAIN_NAMES[domain]},
-            }
-        )
-    for span in tracer.spans:
-        emit_span(span, _DOMAIN_PIDS.get(span.domain, 0), span.track, {})
-    for instant in tracer.instants:
-        emit_instant(
-            instant, _DOMAIN_PIDS.get(instant.domain, 0), instant.track, {}
-        )
-    counter_events = 0
-    if timeline is not None:
-        counter_events += emit_counters(timeline.snapshot(), _DOMAIN_PIDS["sim"])
-
-    # -- merged worker processes ------------------------------------------
-    worker_pids: dict[tuple[int, str], int] = {}
-    next_pid = _WORKER_PID_BASE
-    worker_index: dict[int, dict] = {}
-
-    def worker_pid(os_pid: int, domain: str) -> int:
-        nonlocal next_pid
-        key = (os_pid, domain)
-        pid = worker_pids.get(key)
-        if pid is None:
-            pid = worker_pids[key] = next_pid
-            next_pid += 1
-            events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {
-                        "name": f"worker {os_pid} "
-                        f"({_DOMAIN_NAMES.get(domain, domain)})"
-                    },
-                }
-            )
-            worker_index[os_pid]["pids"][domain] = pid
-        return pid
-
-    for capture in workers:
-        entry = worker_index.setdefault(
-            capture.os_pid,
-            {
-                "os_pid": capture.os_pid,
-                "pids": {},
-                "points": [],
-                "spans": 0,
-                "instants": 0,
-            },
-        )
-        if capture.label:
-            entry["points"].append(capture.label)
-        entry["spans"] += len(capture.spans)
-        entry["instants"] += len(capture.instants)
-        point_args = {"point": capture.label} if capture.label else {}
-        # Prefix tracks with the point label: points in one worker
-        # process each start at sim time zero, so sharing rows would
-        # stack unrelated spans on top of each other.
-        prefix = f"{capture.label} · " if capture.label else ""
-        for span in capture.spans:
-            pid = worker_pid(capture.os_pid, span.domain)
-            emit_span(span, pid, prefix + span.track, point_args)
-        for instant in capture.instants:
-            pid = worker_pid(capture.os_pid, instant.domain)
-            emit_instant(instant, pid, prefix + instant.track, point_args)
-        if capture.timeline:
-            pid = worker_pid(capture.os_pid, "sim")
-            counter_events += emit_counters(
-                {prefix + k: v for k, v in capture.timeline.items()}, pid
-            )
+                    for ts, value in zip(times, values)
+                ])
+                counter_events += len(times)
 
     document: dict = {
         "traceEvents": events,

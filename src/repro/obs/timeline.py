@@ -29,30 +29,46 @@ __all__ = ["NULL_TIMELINE", "NullTimeline", "Timeline", "series_from_trace"]
 
 
 class Timeline:
-    """Append-only store of (timestamp, value) samples per series name."""
+    """Append-only store of (timestamp, value) samples per series name.
+
+    Each series keeps two raw columns, times and values, in sample
+    order: a sample allocates no object of its own, so a long run's
+    samples add no work for the garbage collector.  The views convert
+    to ``float`` when read.
+    """
 
     enabled = True
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._series: dict[str, list[tuple[float, float]]] = {}
+        self._series: dict[str, tuple[list, list]] = {}
 
     def sample(self, series: str, ts: float, value: float) -> None:
         """Record one sample; ``ts`` is simulated seconds (``env.now``)."""
         with self._lock:
-            bucket = self._series.get(series)
-            if bucket is None:
-                bucket = self._series[series] = []
-            bucket.append((float(ts), float(value)))
+            columns = self._series.get(series)
+            if columns is None:
+                columns = self._series[series] = ([], [])
+            columns[0].append(ts)
+            columns[1].append(value)
+
+    def columns(self) -> dict[str, tuple[list[float], list[float]]]:
+        """Picklable copy: series name → (times, values) in sample order."""
+        with self._lock:
+            return {
+                name: (list(map(float, times)), list(map(float, values)))
+                for name, (times, values) in self._series.items()
+            }
 
     def snapshot(self) -> dict[str, list[tuple[float, float]]]:
         """Picklable copy: series name → list of (ts, value) pairs."""
-        with self._lock:
-            return {name: list(samples) for name, samples in self._series.items()}
+        return {
+            name: list(zip(times, values))
+            for name, (times, values) in self.columns().items()
+        }
 
     def series(self, name: str) -> list[tuple[float, float]]:
-        with self._lock:
-            return list(self._series.get(name, ()))
+        return self.snapshot().get(name, [])
 
     def names(self) -> list[str]:
         with self._lock:
@@ -69,7 +85,7 @@ class Timeline:
 
     def __len__(self) -> int:
         with self._lock:
-            return sum(len(s) for s in self._series.values())
+            return sum(len(times) for times, _ in self._series.values())
 
 
 class NullTimeline(Timeline):

@@ -1,8 +1,10 @@
 """Low-overhead tracing: nestable spans and instant events.
 
-A :class:`Tracer` collects :class:`Span` (an interval on a named track)
-and :class:`Instant` (a point event) records.  Two time domains coexist
-in one trace:
+A :class:`Tracer` collects spans (intervals on a named track) and
+instants (point events).  Each record is stored as one plain tuple row;
+:class:`Span` and :class:`Instant` are the read views built from those
+rows on demand (``spans``, ``instants``, ``snapshot()``), so recording
+costs one tuple and one append.  Two time domains coexist in one trace:
 
 * ``"sim"`` — timestamps are **simulated seconds** read from
   ``Environment.now``.  Simulation code records these with explicit
@@ -108,8 +110,10 @@ class Tracer:
 
     def __init__(self, label: str = ""):
         self.label = label
-        self.spans: list[Span] = []
-        self.instants: list[Instant] = []
+        #: ``(name, track, start, end, domain, args)`` per span and
+        #: ``(name, track, ts, domain, args)`` per instant, in record order.
+        self._spans: list[tuple] = []
+        self._instants: list[tuple] = []
         self._lock = threading.Lock()
         # Wall-domain origin: spans from threaded runtimes and context-
         # manager spans are relative to tracer creation.
@@ -135,12 +139,8 @@ class Tracer:
         Simulation code passes its own ``env.now`` readings; threaded
         runtimes pass wall-clock offsets with ``domain="wall"``.
         """
-        span = Span(
-            name=name, track=track, start=start, end=end,
-            domain=domain, args=args,
-        )
         with self._lock:
-            self.spans.append(span)
+            self._spans.append((name, track, start, end, domain, args))
 
     def span(self, name: str, *, track: str = "main", **args: Any):
         """Context manager recording a wall-domain span around a block.
@@ -164,32 +164,40 @@ class Tracer:
         if ts is None:
             ts = self.wall_now()
             domain = "wall"
-        event = Instant(name=name, track=track, ts=ts, domain=domain, args=args)
         with self._lock:
-            self.instants.append(event)
+            self._instants.append((name, track, ts, domain, args))
 
     # -- views ------------------------------------------------------------
-    def snapshot(self) -> tuple[list[Span], list[Instant]]:
-        """Consistent copies of the recorded spans and instants.
-
-        Both record types are frozen plain-data dataclasses, so the
-        returned lists pickle cleanly — this is how sweep workers ship
-        their capture back to the parent process.
-        """
+    def rows(self) -> tuple[list[tuple], list[tuple]]:
+        """Consistent copies of the span and instant rows (plain tuples
+        that pickle cleanly — what sweep workers ship to the parent)."""
         with self._lock:
-            return list(self.spans), list(self.instants)
+            return list(self._spans), list(self._instants)
+
+    @property
+    def spans(self) -> list[Span]:
+        return [Span(*row) for row in self.rows()[0]]
+
+    @property
+    def instants(self) -> list[Instant]:
+        return [Instant(*row) for row in self.rows()[1]]
+
+    def snapshot(self) -> tuple[list[Span], list[Instant]]:
+        """The recorded spans and instants as :class:`Span` /
+        :class:`Instant` values, built from one consistent copy."""
+        spans, instants = self.rows()
+        return [Span(*row) for row in spans], [Instant(*row) for row in instants]
 
     def totals(self, prefix: str = "") -> dict[str, float]:
         """Total seconds per span name (optionally name-prefix filtered)."""
         out: dict[str, float] = {}
-        for span in self.spans:
-            if prefix and not span.name.startswith(prefix):
-                continue
-            out[span.name] = out.get(span.name, 0.0) + span.duration
+        for name, _, start, end, _, _ in self.rows()[0]:
+            if name.startswith(prefix):
+                out[name] = out.get(name, 0.0) + (end - start)
         return out
 
     def __len__(self) -> int:
-        return len(self.spans) + len(self.instants)
+        return len(self._spans) + len(self._instants)
 
 
 class _NullSpanHandle:
@@ -232,6 +240,9 @@ class NullTracer:
 
     def instant(self, name, *, track="main", ts=None, domain="sim", **args):
         pass
+
+    def rows(self) -> tuple[list[tuple], list[tuple]]:
+        return [], []
 
     def snapshot(self) -> tuple[list[Span], list[Instant]]:
         return [], []

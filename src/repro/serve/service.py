@@ -34,6 +34,7 @@ from repro.cloud.instance_types import InstanceType, get_instance_type
 from repro.cloud.queue import MessageQueue
 from repro.core.application import Application, get_application
 from repro.core.task import TaskRecord
+from repro.obs.metrics import Counter
 from repro.serve.admission import AdmissionController, AdmissionOutcome
 from repro.serve.scheduler import FairShareScheduler
 from repro.serve.tenants import TenantSpec, peak_rate, rate_at
@@ -319,6 +320,7 @@ class JobService(QueueFleet):
         )
         self._jobs: dict[str, _JobMeta] = {}
         self._completed: set[str] = set()
+        self._counters: dict[str, Counter] = {}
         self._instances: list = []
         self._stopping = False
         self._make_controller(
@@ -475,9 +477,8 @@ class JobService(QueueFleet):
 
     def _submit(self, spec, index, rng, now) -> None:
         outcome = self.admission.submit(spec.name)
-        metrics = self.obs.metrics
-        metrics.counter("serve.submitted").inc()
-        metrics.counter(f"serve.{outcome.value}").inc()
+        self._count("serve.submitted")
+        self._count(f"serve.{outcome.value}")
         if outcome is not AdmissionOutcome.ADMITTED:
             if self.tracer.enabled:
                 self.tracer.instant(
@@ -543,16 +544,23 @@ class JobService(QueueFleet):
     def _finish(self, task, msg, was_duplicate: bool) -> bool:
         """Count each job once, however many times it executed."""
         meta = self._jobs[task.task_id]
-        metrics = self.obs.metrics
         if task.task_id in self._completed:
             self.admission.duplicate(meta.tenant)
-            metrics.counter("serve.duplicates").inc()
+            self._count("serve.duplicates")
         else:
             self._completed.add(task.task_id)
             latency = self.env.now - meta.submitted_at
             self.admission.complete(meta.tenant, latency)
-            metrics.counter("serve.completed").inc()
+            self._count("serve.completed")
         return not was_duplicate
+
+    def _count(self, name: str) -> None:
+        """Bump a per-job counter, fetched from the registry on its first
+        use only (so no zero-valued counter is ever exported)."""
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = self.obs.metrics.counter(name)
+        counter.inc()
 
 
 def run_serve(config: ServeConfig) -> ServeResult:

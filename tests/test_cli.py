@@ -51,6 +51,19 @@ class TestRun:
         assert code == 0
         assert "dryadlinq" in text
 
+    @pytest.mark.parametrize("backend", ["hadoop", "dryadlinq"])
+    def test_sanitize_prints_report_on_cluster_backends(
+        self, backend, monkeypatch
+    ):
+        # --sanitize sets REPRO_SANITIZE=1; the monkeypatch restores it.
+        monkeypatch.setenv("REPRO_SANITIZE", "0")
+        code, text = run_cli(
+            "run", "--app", "cap3", "--backend", backend,
+            "--files", "8", "--nodes", "2", "--sanitize",
+        )
+        assert code == 0
+        assert "sanitizer report:" in text
+
     def test_run_azure_with_shape(self):
         code, text = run_cli(
             "run", "--backend", "azure", "--files", "8",

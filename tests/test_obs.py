@@ -1,5 +1,6 @@
 """Unit tests for repro.obs: tracer, metrics, ambient context."""
 
+import sys
 import threading
 
 import pytest
@@ -78,6 +79,48 @@ class TestTracer:
         for thread in threads:
             thread.join()
         assert len(tracer.spans) == 800
+
+    def test_thread_safe_instants_and_samples(self):
+        from repro.obs import Timeline
+
+        tracer, timeline = Tracer(), Timeline()
+
+        def record(worker):
+            for i in range(200):
+                timeline.sample(f"s{worker}", float(i), i)
+                timeline.sample("shared", float(i), worker)
+                tracer.instant("tick", track=f"t{worker}", ts=float(i), i=i)
+
+        threads = [
+            threading.Thread(target=record, args=(w,)) for w in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(timeline) == 4 * 200 * 2
+        assert len(tracer.instants) == 800
+        snapshot = timeline.snapshot()
+        assert sorted(snapshot) == ["s0", "s1", "s2", "s3", "shared"]
+        for worker in range(4):
+            # Each thread's samples keep their order within its series,
+            # and every (ts, value) pair stays together.
+            assert snapshot[f"s{worker}"] == [
+                (float(i), float(i)) for i in range(200)
+            ]
+            assert [
+                ts for ts, value in snapshot["shared"] if value == worker
+            ] == [float(i) for i in range(200)]
+            ticks = [
+                e.args["i"] for e in tracer.instants if e.track == f"t{worker}"
+            ]
+            assert ticks == list(range(200))
 
 
 class TestNullTracer:

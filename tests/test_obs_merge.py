@@ -198,3 +198,70 @@ class TestCacheHitInstants:
         assert {h.args["label"] for h in hits} == {s.label for s in specs}
         # Cache hits never reach a worker: nothing to adopt.
         assert obs.workers == []
+
+
+#: SHA-256 of the file ``write_chrome_trace`` writes for
+#: :func:`_pinned_bundle`.  It pins the merged-trace path (parent rows,
+#: worker captures, timelines, metrics) byte for byte; regenerate only
+#: on a deliberate change to the trace format.
+MERGED_TRACE_SHA256 = (
+    "ed41d745f651b5cdacf4a0a017c0da0faf1e9122d4858ba2a3a5f58295d6a1b8"
+)
+
+
+def _pinned_bundle() -> Observability:
+    """A parent bundle with both time domains, instants with args, two
+    timeline series and two adopted worker captures, all on fixed
+    timestamps and fixed OS pids."""
+    obs = Observability.make(label="pinned")
+    tracer = obs.tracer
+    tracer.add("task.download", track="w0", start=0.0, end=0.25, task_id="t1")
+    tracer.add("task.compute", track="w0", start=0.25, end=1.75,
+               task_id="t1", attempt=2)
+    tracer.add("task.upload", track="w1", start=1.75, end=2.0, task_id="t1")
+    tracer.add("sweep.chunk", track="host", start=0.125, end=0.5,
+               domain="wall", points=3)
+    tracer.instant("serve.shed", track="service", ts=1.5,
+                   tenant="a", outcome="shed_quota")
+    tracer.instant("sweep.cache_hit", track="host", ts=0.375,
+                   domain="wall", label="p0")
+    tracer.instant("tick", track="w0", ts=3.0)
+    obs.metrics.counter("serve.submitted").inc(3)
+    obs.metrics.gauge("workers.busy").set(2)
+    obs.metrics.histogram("serve.latency.a").observe(0.5)
+    obs.timeline.sample("workers.busy", 0.0, 1)
+    obs.timeline.sample("queue.tasks.depth", 0.0, 4)
+    obs.timeline.sample("workers.busy", 0.25, 2)
+    obs.timeline.sample("queue.tasks.depth", 1.0, 3.5)
+    for os_pid, label, scale in ((7001, "point-a", 1.0), (7002, "point-b", 2.0)):
+        worker = Observability.make(label=label)
+        worker.tracer.add("task.compute", track="w0", start=0.0, end=scale,
+                          task_id="t9")
+        worker.tracer.add("task.download", track="w1", start=scale,
+                          end=scale + 0.5, task_id="t9")
+        worker.tracer.add("sweep.point", track="host", start=0.0,
+                          end=scale / 8, domain="wall", label=label)
+        worker.tracer.instant("scheduler.dispatch", track="w0", ts=scale,
+                              node=int(scale))
+        worker.metrics.counter("sweep.points_run").inc()
+        worker.timeline.sample("queue.tasks.depth", 0.0, 2 * scale)
+        worker.timeline.sample("workers.busy", scale, 1)
+        payload = worker_payload(worker, label=label)
+        payload["os_pid"] = os_pid
+        obs.adopt_worker(payload)
+    return obs
+
+
+def test_merged_trace_bytes_are_pinned(tmp_path):
+    import hashlib
+
+    from repro.obs import write_chrome_trace
+
+    path = tmp_path / "merged.json"
+    document = write_chrome_trace(path, _pinned_bundle())
+    assert validate_chrome_trace(document) == []
+    assert [w["os_pid"] for w in document["otherData"]["workers"]] == [
+        7001, 7002,
+    ]
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == MERGED_TRACE_SHA256
